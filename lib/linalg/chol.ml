@@ -270,8 +270,6 @@ let lower_inverse_t f =
   done;
   out
 
-let mahalanobis_sq f x mu = quad_inv f (Vec.sub x mu)
-
 let sample_transform f z =
   let n = f.n in
   assert (Array.length z = n);

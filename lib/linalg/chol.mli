@@ -78,9 +78,6 @@ val lower_inverse_t : t -> Mat.t
     then contiguous row dots, [a⁻¹[u,v] = Σ_w out[u,w]·out[v,w]] —
     cheaper than a full inverse when only a few entries are needed. *)
 
-val mahalanobis_sq : t -> Vec.t -> Vec.t -> float
-(** [mahalanobis_sq f x mu] is [(x-mu)ᵀ a⁻¹ (x-mu)]. *)
-
 val sample_transform : t -> Vec.t -> Vec.t
 (** [sample_transform f z] is [l z]; maps iid standard normals to
     draws with covariance [a]. *)

@@ -32,8 +32,6 @@ let of_arrays rows_arr =
   Array.iter (fun r -> assert (Array.length r = cols)) rows_arr;
   init rows cols (fun i j -> rows_arr.(i).(j))
 
-let of_rows rows_list = of_arrays (Array.of_list rows_list)
-
 let copy a = { a with data = Array.copy a.data }
 
 let unsafe_of_flat ~rows ~cols data =

@@ -27,8 +27,6 @@ val scalar : int -> float -> t
 val of_arrays : float array array -> t
 (** Rows given as arrays; all rows must have equal length. *)
 
-val of_rows : Vec.t list -> t
-
 val copy : t -> t
 
 val unsafe_of_flat : rows:int -> cols:int -> float array -> t

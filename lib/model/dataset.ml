@@ -230,13 +230,6 @@ let select_rows d idx =
   in
   create ~design ~response
 
-let select_states d states =
-  assert (Array.length states > 0);
-  Array.iter (fun k -> assert (k >= 0 && k < d.n_states)) states;
-  create
-    ~design:(Array.map (fun k -> Mat.copy d.design.(k)) states)
-    ~response:(Array.map (fun k -> Array.copy d.response.(k)) states)
-
 let split_fold d ~n_folds ~fold =
   assert (n_folds >= 2 && fold >= 0 && fold < n_folds);
   assert (d.n_samples >= n_folds);
@@ -294,11 +287,6 @@ let validate_exn d =
                     rep.invalid.(0).state rep.invalid.(0).row;
                 index = rep.invalid.(0).row;
               }))
-
-let response_norm d =
-  let acc = ref 0.0 in
-  Array.iter (fun y -> acc := !acc +. Vec.norm2_sq y) d.response;
-  sqrt !acc
 
 let total_samples d = d.n_states * d.n_samples
 

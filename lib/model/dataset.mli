@@ -48,7 +48,7 @@ val append_row : t -> rows:Vec.t array -> ys:float array -> t
 val column_norms : t -> int -> Vec.t
 (** [column_norms d k] is {!Cbmf_basis.Dictionary.column_norms} of
     [d.design.(k)], computed once per design matrix and cached — the
-    greedy selection loops (S-OMP, OMP, Algorithm 1) call this every
+    greedy selection loops (S-OMP, Algorithm 1) call this every
     iteration, turning an O(N·M·θ) recomputation into O(N·M).  Returns
     the cached array itself: do not mutate. *)
 
@@ -83,10 +83,6 @@ val select_rows : t -> int array array -> t
 (** [select_rows d idx] keeps rows [idx.(k)] of state [k] (allows
     duplication/reordering; used by cross-validation). *)
 
-val select_states : t -> int array -> t
-(** [select_states d states] keeps only the given states, in the given
-    order — the sub-problem a state cluster induces. *)
-
 val split_fold : t -> n_folds:int -> fold:int -> t * t
 (** [(train, test)] for deterministic interleaved folds: sample [i] of
     every state belongs to fold [i mod n_folds].  Interleaving keeps
@@ -110,9 +106,6 @@ val validate : t -> (unit, report) result
 val validate_exn : t -> unit
 (** Like {!validate} but raises a typed
     [Cbmf_robust.Fault.Error (Non_finite _)] summarizing the report. *)
-
-val response_norm : t -> float
-(** sqrt(Σ_k ‖y_k‖²) — denominator of pooled relative errors. *)
 
 val total_samples : t -> int
 (** N·K. *)

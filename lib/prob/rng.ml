@@ -98,8 +98,6 @@ let gaussian r =
     u *. m
   end
 
-let gaussian_mu_sigma r ~mu ~sigma = mu +. (sigma *. gaussian r)
-
 let gaussian_vector r n = Array.init n (fun _ -> gaussian r)
 
 let shuffle_inplace r a =

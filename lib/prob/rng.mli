@@ -46,8 +46,6 @@ val gaussian : t -> float
 (** Standard normal via the polar (Marsaglia) method; caches the spare
     deviate. *)
 
-val gaussian_mu_sigma : t -> mu:float -> sigma:float -> float
-
 val gaussian_vector : t -> int -> Cbmf_linalg.Vec.t
 (** iid standard normal vector. *)
 

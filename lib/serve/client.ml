@@ -1,5 +1,3 @@
-open Cbmf_prob
-
 type t = { fd : Unix.file_descr; mutable closed : bool }
 
 let of_fd fd = { fd; closed = false }
@@ -91,7 +89,7 @@ let retryable = function
 (* One round-trip with every transport-level failure folded into a
    typed value: a hangup, a torn reply frame, a socket timeout and a
    refused connect all become [Connection_lost] — the stream is gone
-   either way, and a caller (e.g. [with_failover]) can't use the raw
+   either way, and a caller (e.g. [Shard.router]) can't use the raw
    exception to decide anything the constructor doesn't already say. *)
 let call_typed t req =
   match call t req with
@@ -195,47 +193,3 @@ let reload_path t ~name ~path =
 
 let reload_inline t ~name ~image =
   reload_result t (Protocol.Reload { name; source = Protocol.Inline image })
-
-(* --- Failover --------------------------------------------------------- *)
-
-let with_failover ?(attempts = 6) ?(base_backoff = 0.01) ?(max_backoff = 0.25)
-    ?(seed = 0L) ?(timeout = 10.0) addrs f =
-  match addrs with
-  | [] -> invalid_arg "Client.with_failover: no replicas"
-  | _ ->
-      let replicas = Array.of_list addrs in
-      let n = Array.length replicas in
-      let attempts = max 1 attempts in
-      let rec go i =
-        let addr = replicas.(i mod n) in
-        let outcome =
-          match connect ~timeout addr with
-          | exception Unix.Unix_error (e, fn, _) ->
-              Error
-                (Connection_lost
-                   (Printf.sprintf "connect %s: %s" fn (Unix.error_message e)))
-          | c -> Fun.protect ~finally:(fun () -> close c) (fun () -> f c)
-        in
-        match outcome with
-        | Ok _ as ok -> ok
-        | Error failure when retryable failure && i + 1 < attempts ->
-            (* Capped exponential backoff with deterministic jitter:
-               the multiplier in [0.5, 1.5) is a pure function of
-               (seed, attempt index), so a replayed run sleeps the
-               same schedule.  An [Overloaded] retry hint floors the
-               delay — the server told us when it wants us back. *)
-            let expo = base_backoff *. (2.0 ** float_of_int i) in
-            let capped = Float.min max_backoff expo in
-            let floor_s =
-              match failure with
-              | Overloaded { retry_after_ms; _ } ->
-                  float_of_int retry_after_ms /. 1000.0
-              | _ -> 0.0
-            in
-            let r = Rng.derive seed ~index:i in
-            let delay = Float.max floor_s (capped *. (0.5 +. Rng.float r)) in
-            Thread.delay delay;
-            go (i + 1)
-        | Error _ as e -> e
-      in
-      go 0

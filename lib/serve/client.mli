@@ -49,14 +49,15 @@ val shutdown : t -> unit
     The [_typed] entry points never raise on transport problems:
     everything that ends a round-trip folds into a {!failure}, split
     by what a caller may do about it — {!retryable} failures
-    ([Connection_lost], [Overloaded]) are safe to retry on another
-    replica for idempotent requests; the rest are answers, not
-    outages. *)
+    ([Connection_lost], [Overloaded]) are safe to retry on a fresh
+    connection for idempotent requests ({!Shard} drops its cached
+    connection on them, so the next call redials); the rest are
+    answers, not outages. *)
 
 type failure =
   | Connection_lost of string
       (** The stream is gone: hangup, torn reply frame, socket timeout
-          or refused connect.  Retryable against another replica. *)
+          or refused connect.  Retryable on a fresh connection. *)
   | Overloaded of { queue_depth : int; retry_after_ms : int }
       (** Admission control shed the connection; retry after the
           hint. *)
@@ -122,24 +123,3 @@ val reload_path :
 val reload_inline :
   t -> name:string -> image:string -> (int * int * int * int, failure) result
 (** Same, shipping the snapshot image in the request body. *)
-
-val with_failover :
-  ?attempts:int ->
-  ?base_backoff:float ->
-  ?max_backoff:float ->
-  ?seed:int64 ->
-  ?timeout:float ->
-  Unix.sockaddr list ->
-  (t -> ('a, failure) result) ->
-  ('a, failure) result
-(** [with_failover addrs f] connects to replicas round-robin and runs
-    [f] (which should issue {e idempotent} requests — predicts, pings)
-    until it succeeds, a non-retryable failure is returned, or
-    [attempts] (default 6) tries are exhausted.  Between retries it
-    sleeps a capped exponential backoff ([base_backoff] 10 ms doubling
-    up to [max_backoff] 250 ms) with deterministic jitter in
-    [0.5, 1.5)× derived from [(seed, attempt)] via
-    {!Cbmf_prob.Rng.derive} — replays sleep the same schedule.  An
-    [Overloaded] hint floors the next delay at its [retry_after_ms].
-    Each attempt uses a fresh connection, closed before returning.
-    Raises [Invalid_argument] on an empty replica list. *)

@@ -72,8 +72,7 @@ type reply =
   | Reloaded of { generation : int; n_active : int; n_states : int; bytes : int }
   | Overloaded of { queue_depth : int; retry_after_ms : int }
       (** admission control shed this connection before any request
-          was read; retry against another replica or after
-          [retry_after_ms] *)
+          was read; retry after [retry_after_ms] *)
   | Error of { code : error_code; message : string }
 
 val error_code_name : error_code -> string

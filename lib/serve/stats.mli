@@ -45,14 +45,11 @@ val sheds : t -> int
 
 val deadlines : t -> int
 
-val quantile_us : t -> float -> float
-(** Upper bucket edge (µs) at the given quantile in [0, 1]; 0 when
-    nothing was recorded. *)
-
 val phase_quantile :
   t -> [ `Queue_wait | `Batch_wait | `Compute | `Occupancy ] -> float -> float
-(** Same read, but off one of the phase histograms ([`Occupancy] is in
-    points). *)
+(** Upper bucket edge (µs) at the given quantile in [0, 1] of one of the
+    phase histograms ([`Occupancy] is in points); 0 when nothing was
+    recorded. *)
 
 val to_json : ?extra:(string * string) list -> t -> string
 (** One JSON object: per-op request counts, error count, total points,

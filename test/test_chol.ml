@@ -177,6 +177,83 @@ let prop_logdet_scaling =
       let ldc = Chol.log_det (Chol.factorize (Mat.scale c a)) in
       abs_float (ldc -. (ld +. (float_of_int n *. log c))) <= 1e-7)
 
+(* The cases below draw from their own seeded stream, so the shared
+   [Helpers] stream (and every later suite's inputs) stays as it was. *)
+let local_rng = Cbmf_prob.Rng.create 1303
+
+let local_spd n = Seeded.random_spd local_rng n
+
+let local_vec n = Seeded.random_vec local_rng n
+
+let test_dim_no_jitter () =
+  let f = Chol.factorize (local_spd 5) in
+  check_int "dim" 5 (Chol.dim f);
+  check_float "no jitter" 0.0 (Chol.jitter f);
+  let g = Chol.factorize_with_retry (local_spd 4) in
+  check_float "retry not needed" 0.0 (Chol.jitter g)
+
+let test_explicit_jitter () =
+  let a = local_spd 4 in
+  let f = Chol.factorize ~jitter:0.5 a in
+  let l = Chol.lower f in
+  let shifted = Mat.copy a in
+  Mat.add_diag_inplace shifted 0.5;
+  mat_close ~tol:1e-9 "l·lᵀ = a + 0.5·I" shifted (Mat.matmul_nt l l)
+
+let test_retry_records_jitter () =
+  (* v·vᵀ is singular PSD: the plain factorization fails and the retry
+     succeeds on a + jitter·I, with the jitter recorded. *)
+  let v = Vec.of_list [ 1.0; 2.0; -1.0 ] in
+  let a = Mat.outer v v in
+  let f = Chol.factorize_with_retry a in
+  let j = Chol.jitter f in
+  check_true "jitter applied" (j > 0.0);
+  check_true "jitter within cap" (j <= 1e-2 *. 2.0);
+  let shifted = Mat.copy a in
+  Mat.add_diag_inplace shifted j;
+  let l = Chol.lower f in
+  mat_close ~tol:1e-9 "l·lᵀ = a + jitter·I" shifted (Mat.matmul_nt l l)
+
+let test_solve_lower_whitening () =
+  let a = local_spd 6 in
+  let f = Chol.factorize a in
+  let b = local_vec 6 in
+  let z = Chol.solve_lower f b in
+  vec_close ~tol:1e-10 "l·z = b" b (Mat.mat_vec (Chol.lower f) z);
+  check_float ~tol:1e-9 "zᵀz = bᵀa⁻¹b" (Chol.quad_inv f b) (Vec.dot z z)
+
+let test_solve_lower_mat_inplace () =
+  let f = Chol.factorize (local_spd 7) in
+  let b = Seeded.random_mat local_rng 7 5 in
+  let expected = Chol.solve_lower_mat f b in
+  Chol.solve_lower_mat_inplace f b;
+  mat_close ~tol:1e-12 "inplace = allocating" expected b
+
+let test_of_scaled_identity () =
+  let f = Chol.of_scaled_identity 4 2.25 in
+  mat_close ~tol:1e-12 "l = 1.5·I" (Mat.scalar 4 1.5) (Chol.lower f);
+  check_float ~tol:1e-12 "logdet = n·log c" (4.0 *. log 2.25) (Chol.log_det f);
+  vec_close ~tol:1e-12 "solve = b / c"
+    (Vec.of_list [ 1.0; 2.0; 3.0; 4.0 ])
+    (Chol.solve_vec f (Vec.of_list [ 2.25; 4.5; 6.75; 9.0 ]))
+
+let test_sample_moments () =
+  (* iid standard normals through l reproduce the covariance a. *)
+  let a = Mat.of_arrays [| [| 2.0; 0.8 |]; [| 0.8; 1.0 |] |] in
+  let f = Chol.factorize a in
+  let r = Cbmf_prob.Rng.create 17 in
+  let n = 50_000 in
+  let draws =
+    Array.init n (fun _ -> Chol.sample_transform f (Cbmf_prob.Rng.gaussian_vector r 2))
+  in
+  let col j = Array.map (fun d -> d.(j)) draws in
+  let open Cbmf_prob in
+  check_true "mean0" (abs_float (Stats.mean (col 0)) < 0.05);
+  check_true "mean1" (abs_float (Stats.mean (col 1)) < 0.05);
+  check_true "var0" (abs_float (Stats.variance (col 0) -. 2.0) < 0.1);
+  check_true "var1" (abs_float (Stats.variance (col 1) -. 1.0) < 0.05);
+  check_true "cov01" (abs_float (Stats.covariance (col 0) (col 1) -. 0.8) < 0.05)
+
 let suite =
   [ ( "linalg.chol",
       [ case "reconstruct" test_reconstruct;
@@ -196,4 +273,11 @@ let suite =
         case "nearest_pd repair" test_nearest_pd;
         case "sample_transform" test_sample_transform;
         prop_solve_residual;
-        prop_logdet_scaling ] ) ]
+        prop_logdet_scaling;
+        case "dim, no jitter on SPD" test_dim_no_jitter;
+        case "explicit jitter" test_explicit_jitter;
+        case "retry records its jitter" test_retry_records_jitter;
+        case "solve_lower whitening" test_solve_lower_whitening;
+        case "solve_lower_mat_inplace" test_solve_lower_mat_inplace;
+        case "of_scaled_identity" test_of_scaled_identity;
+        slow_case "sample_transform moments" test_sample_moments ] ) ]

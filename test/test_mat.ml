@@ -186,6 +186,90 @@ let test_matmul_nt_weighted () =
   mat_close ~tol:1e-10 "a·diag(w)·aᵀ" (Mat.matmul_nt scaled_a a) aw;
   check_true "weighted self symmetric" (Mat.is_symmetric aw)
 
+(* The cases below draw from their own seeded stream, so the shared
+   [Helpers] stream (and every later suite's inputs) stays as it was. *)
+let local_rng = Cbmf_prob.Rng.create 1301
+
+let local_mat r c = Seeded.random_mat local_rng r c
+
+let test_make_scalar () =
+  let m = Mat.make 2 3 1.5 in
+  check_int "rows" 2 (fst (Mat.dim m));
+  check_int "cols" 3 (snd (Mat.dim m));
+  check_float "make fills" 9.0 (Array.fold_left ( +. ) 0.0 m.Mat.data);
+  mat_close "scalar = c·I" (Mat.scale 2.0 (Mat.identity 3)) (Mat.scalar 3 2.0)
+
+let test_add_sub_scale () =
+  let a = local_mat 3 4 and b = local_mat 3 4 in
+  mat_close ~tol:1e-12 "(a + b) − b = a" a (Mat.sub (Mat.add a b) b);
+  mat_close ~tol:1e-12 "2a = a + a" (Mat.add a a) (Mat.scale 2.0 a);
+  let c = Mat.copy a in
+  Mat.add_inplace c b;
+  mat_close ~tol:1e-12 "add_inplace" (Mat.add a b) c;
+  Mat.scale_inplace c 0.5;
+  mat_close ~tol:1e-12 "scale_inplace" (Mat.scale 0.5 (Mat.add a b)) c
+
+let test_add_scaled_inplace () =
+  let a = local_mat 4 2 and b = local_mat 4 2 in
+  let c = Mat.copy a in
+  Mat.add_scaled_inplace c (-0.25) b;
+  mat_close ~tol:1e-12 "a − b/4" (Mat.sub a (Mat.scale 0.25 b)) c
+
+let test_into_variants () =
+  let a = local_mat 5 3 and b = local_mat 3 4 and c = local_mat 6 3 in
+  let dst = Mat.make 5 4 nan in
+  Mat.matmul_into a b ~dst;
+  mat_close ~tol:1e-12 "matmul_into" (Mat.matmul a b) dst;
+  let dst = Mat.make 5 6 nan in
+  Mat.matmul_nt_into a c ~dst;
+  mat_close ~tol:1e-12 "matmul_nt_into" (Mat.matmul_nt a c) dst;
+  let w = Vec.of_list [ 0.5; 2.0; 1.0 ] in
+  let dst = Mat.make 5 6 nan in
+  Mat.matmul_nt_weighted_into a w c ~dst;
+  mat_close ~tol:1e-12 "matmul_nt_weighted_into"
+    (Mat.matmul_nt_weighted a w c) dst
+
+let test_map_mapi_update () =
+  let a = Mat.init 2 3 (fun i j -> float_of_int ((3 * i) + j)) in
+  mat_close "map" (Mat.init 2 3 (fun i j -> 2.0 *. float_of_int ((3 * i) + j)))
+    (Mat.map (fun x -> 2.0 *. x) a);
+  mat_close "mapi" (Mat.init 2 3 (fun i _ -> float_of_int i))
+    (Mat.mapi (fun i _ _ -> float_of_int i) a);
+  Mat.update a 1 2 (fun x -> x +. 10.0);
+  check_float "update" 15.0 (Mat.get a 1 2)
+
+let test_flat_layout () =
+  let a = Mat.unsafe_of_flat ~rows:2 ~cols:3 [| 1.0; 2.0; 3.0; 4.0; 5.0; 6.0 |] in
+  mat_close "row-major"
+    (Mat.of_arrays [| [| 1.0; 2.0; 3.0 |]; [| 4.0; 5.0; 6.0 |] |])
+    a;
+  check_float "get (1, 0)" 4.0 (Mat.get a 1 0)
+
+let test_submatrix_into () =
+  let a = local_mat 5 6 in
+  let dst = Mat.make 2 3 nan in
+  Mat.submatrix_into a ~row0:2 ~col0:1 ~dst;
+  mat_close "submatrix_into = submatrix"
+    (Mat.submatrix a ~row0:2 ~col0:1 ~rows:2 ~cols:3)
+    dst
+
+let test_predicates () =
+  check_true "square" (Mat.is_square (Mat.create 3 3));
+  check_true "not square" (not (Mat.is_square (Mat.create 2 3)));
+  let a = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 2.0 +. 1e-6; 1.0 |] |] in
+  check_true "asymmetric at default tol" (not (Mat.is_symmetric a));
+  check_true "symmetric at loose tol" (Mat.is_symmetric ~tol:1e-3 a);
+  check_true "shape mismatch not equal"
+    (not (Mat.approx_equal (Mat.create 2 2) (Mat.create 2 3)))
+
+let prop_frobenius_trace =
+  qcase ~count:50 "‖a‖_F² = Tr(aᵀa)"
+    QCheck2.Gen.(pair (int_range 1 8) (int_range 1 8))
+    (fun (r, c) ->
+      let a = local_mat r c in
+      let f = Mat.frobenius a in
+      abs_float ((f *. f) -. Mat.trace (Mat.gram a)) < 1e-9 *. (1.0 +. (f *. f)))
+
 let suite =
   [ ( "linalg.mat",
       [ case "identity" test_identity;
@@ -207,4 +291,13 @@ let suite =
         case "symmetrize" test_symmetrize;
         case "norms" test_norms;
         prop_transpose_matmul;
-        prop_trace_cyclic ] ) ]
+        prop_trace_cyclic;
+        case "make/scalar" test_make_scalar;
+        case "add/sub/scale" test_add_sub_scale;
+        case "add_scaled_inplace" test_add_scaled_inplace;
+        case "_into variants" test_into_variants;
+        case "map/mapi/update" test_map_mapi_update;
+        case "flat row-major layout" test_flat_layout;
+        case "submatrix_into" test_submatrix_into;
+        case "predicates" test_predicates;
+        prop_frobenius_trace ] ) ]

@@ -122,64 +122,6 @@ let test_ols_on_support () =
   check_float ~tol:1e-8 "support recovery" 0.0 (Metrics.coeffs_error_pooled ~coeffs d);
   check_float "off support zero" 0.0 (Mat.get coeffs 0 3)
 
-(* --- Ridge --- *)
-
-let test_ridge_shrinks () =
-  let d = planted () in
-  let small = Ridge.fit d ~lambda:1e-8 in
-  let large = Ridge.fit d ~lambda:1e4 in
-  check_true "shrinkage"
-    (Mat.frobenius large < 0.1 *. Mat.frobenius small)
-
-let test_ridge_dual_matches_primal () =
-  (* N > M exercises the primal branch, N < M the dual; both must agree
-     with the normal equations on a common instance. *)
-  let rng = Cbmf_prob.Rng.create 8 in
-  let design = Mat.init 10 10 (fun _ _ -> Cbmf_prob.Rng.gaussian rng) in
-  let response = Array.init 10 (fun _ -> Cbmf_prob.Rng.gaussian rng) in
-  let lambda = 0.37 in
-  let primal = Ridge.fit_vec ~design ~response ~lambda in
-  (* Dual path via a fat copy (add zero columns changes nothing). *)
-  let fat = Mat.init 10 20 (fun i j -> if j < 10 then Mat.get design i j else 0.0) in
-  let dual = Ridge.fit_vec ~design:fat ~response ~lambda in
-  vec_close ~tol:1e-8 "dual = primal on shared columns" primal (Array.sub dual 0 10)
-
-let test_ridge_cv () =
-  let d = planted ~noise:0.05 () in
-  let _, lambda = Ridge.fit_cv d ~lambdas:[| 1e-6; 1e-2; 1e2 |] ~n_folds:3 in
-  check_true "sane lambda" (lambda < 1e2)
-
-(* --- OMP --- *)
-
-let test_omp_exact_recovery () =
-  let d = planted ~noise:0.0 () in
-  let r =
-    Omp.fit ~design:d.Dataset.design.(0) ~response:d.Dataset.response.(0)
-      ~n_terms:3
-  in
-  let sorted = Array.copy r.Omp.support in
-  Array.sort compare sorted;
-  check_true "support found" (sorted = [| 0; 7; 19 |]);
-  check_float ~tol:1e-8 "coefficient" (-0.5) r.Omp.coeffs.(19)
-
-let test_omp_prediction () =
-  let d = planted ~noise:0.01 () in
-  let r =
-    Omp.fit ~design:d.Dataset.design.(1) ~response:d.Dataset.response.(1)
-      ~n_terms:3
-  in
-  let pred = Omp.predict r d.Dataset.design.(1) in
-  check_true "fit quality"
-    (Metrics.relative_rms ~predicted:pred ~actual:d.Dataset.response.(1) < 0.05)
-
-let test_omp_cv_selects_sparsity () =
-  let d = planted ~noise:0.02 ~n:40 () in
-  let _, chosen =
-    Omp.fit_cv ~design:d.Dataset.design.(0) ~response:d.Dataset.response.(0)
-      ~n_folds:4 ~candidate_terms:[| 1; 3; 10; 20 |]
-  in
-  check_true "neither extreme" (chosen >= 3 && chosen <= 10)
-
 (* --- S-OMP --- *)
 
 let test_somp_shared_support () =
@@ -197,13 +139,15 @@ let test_somp_beats_per_state_at_small_n () =
   let r = Somp.fit d ~n_terms:3 in
   let somp_err = Metrics.coeffs_error_pooled ~coeffs:r.Somp.coeffs test_data in
   let per_state_err =
+    (* S-OMP on a one-state dataset is plain OMP on that state. *)
     let coeffs = Mat.create 8 60 in
     for s = 0 to 7 do
-      let o =
-        Omp.fit ~design:d.Dataset.design.(s) ~response:d.Dataset.response.(s)
-          ~n_terms:3
+      let one =
+        Dataset.create ~design:[| d.Dataset.design.(s) |]
+          ~response:[| d.Dataset.response.(s) |]
       in
-      Mat.set_row coeffs s o.Omp.coeffs
+      let o = Somp.fit one ~n_terms:3 in
+      Mat.set_row coeffs s (Mat.row o.Somp.coeffs 0)
     done;
     Metrics.coeffs_error_pooled ~coeffs test_data
   in
@@ -224,34 +168,124 @@ let test_somp_cv () =
   check_true "chosen sane" (chosen = 3 || chosen = 8);
   check_true "support size" (Array.length r.Somp.support >= 3)
 
-(* --- Crossval --- *)
+(* --- Kept-surface cases --- *)
 
-let test_folds_partition () =
-  let folds = Crossval.interleaved_folds ~n:13 ~n_folds:4 in
-  check_int "count" 4 (Array.length folds);
-  let seen = Array.make 13 0 in
-  Array.iter
-    (fun (train, test) ->
-      check_int "sizes" 13 (Array.length train + Array.length test);
-      Array.iter (fun i -> seen.(i) <- seen.(i) + 1) test)
-    folds;
-  Array.iter (fun c -> check_int "each row tested once" 1 c) seen
+let one_state (d : Dataset.t) s =
+  Dataset.create ~design:[| d.Dataset.design.(s) |]
+    ~response:[| d.Dataset.response.(s) |]
 
-let test_select () =
-  let grid = [| 1.0; 2.0; 3.0 |] in
-  let best, score, all = Crossval.select ~grid ~score:(fun x -> abs_float (x -. 2.2)) in
-  check_float "winner" 2.0 best;
-  check_true "score" (score < 0.3);
-  check_int "all" 3 (Array.length all)
+let test_dataset_caches () =
+  let d = planted ~n:12 ~m:9 () in
+  let b = Dataset.state_design d 2 and y = Dataset.state_response d 2 in
+  check_true "state_design" (b == d.Dataset.design.(2));
+  check_true "state_response" (y == d.Dataset.response.(2));
+  vec_close ~tol:1e-12 "bty = Bᵀy" (Mat.mat_tvec b y) (Dataset.bty d 2);
+  mat_close ~tol:1e-12 "gram = BᵀB" (Mat.gram b) (Dataset.gram d 2);
+  vec_close ~tol:1e-12 "column_norms"
+    (Array.init 9 (fun j -> Vec.norm2 (Mat.col b j)))
+    (Dataset.column_norms d 2);
+  check_true "cached, not recomputed" (Dataset.bty d 2 == Dataset.bty d 2)
 
-let test_grid3 () =
-  let g = Crossval.grid3 [| 1; 2 |] [| 'a' |] [| true; false |] in
-  check_int "size" 4 (Array.length g)
+let test_dataset_append_row () =
+  let d = planted ~k:2 ~n:4 ~m:3 () in
+  let rows = [| Vec.of_list [ 1.0; 2.0; 3.0 ]; Vec.of_list [ 4.0; 5.0; 6.0 ] |] in
+  let grown = Dataset.append_row d ~rows ~ys:[| 7.0; 8.0 |] in
+  check_int "one more sample" 5 grown.Dataset.n_samples;
+  check_int "parent unchanged" 4 d.Dataset.n_samples;
+  vec_close "new row" rows.(1) (Mat.row grown.Dataset.design.(1) 4);
+  check_float "new response" 8.0 grown.Dataset.response.(1).(4);
+  check_raises_invalid "row width" (fun () ->
+      Dataset.append_row d ~rows:[| Vec.create 2; Vec.create 2 |] ~ys:[| 0.0; 0.0 |])
 
-let test_log_grid () =
-  let g = Crossval.log_grid ~lo:1.0 ~hi:100.0 ~n:3 in
-  check_float ~tol:1e-9 "mid" 10.0 g.(1);
-  check_float ~tol:1e-9 "hi" 100.0 g.(2)
+let test_dataset_validate () =
+  let d = planted ~k:2 ~n:4 ~m:3 () in
+  check_true "finite ok" (Dataset.validate d = Ok ());
+  let design = Array.map Mat.copy d.Dataset.design in
+  let response = Array.map Vec.copy d.Dataset.response in
+  Mat.set design.(1) 2 1 nan;
+  response.(0).(3) <- infinity;
+  let bad = Dataset.create ~design ~response in
+  match Dataset.validate bad with
+  | Ok () -> Alcotest.fail "expected a report"
+  | Error rep ->
+      check_int "two rows flagged" 2 (Array.length rep.Dataset.invalid);
+      let first = rep.Dataset.invalid.(0) and second = rep.Dataset.invalid.(1) in
+      check_true "response flagged as col -1"
+        (first.Dataset.state = 0 && first.Dataset.row = 3 && first.Dataset.col = -1);
+      check_true "design column located"
+        (second.Dataset.state = 1 && second.Dataset.row = 2 && second.Dataset.col = 1);
+      (match Dataset.validate_exn bad with
+      | () -> Alcotest.fail "expected a typed fault"
+      | exception Cbmf_robust.Fault.Error _ -> ())
+
+let test_metrics_max_abs () =
+  check_float "max_abs_error" 2.5
+    (Metrics.max_abs_error ~predicted:(Vec.of_list [ 1.0; 0.0; 3.0 ])
+       ~actual:(Vec.of_list [ 1.5; 2.5; 3.0 ]))
+
+let test_metrics_support () =
+  let p, r = Metrics.support_precision_recall ~truth:[| 0; 7; 19 |] ~estimate:[| 7; 19; 3; 5 |] in
+  check_float ~tol:1e-12 "precision" 0.5 p;
+  check_float ~tol:1e-12 "recall" (2.0 /. 3.0) r;
+  check_float ~tol:1e-12 "f1" (4.0 /. 7.0)
+    (Metrics.support_f1 ~truth:[| 0; 7; 19 |] ~estimate:[| 7; 19; 3; 5 |]);
+  check_float "both empty" 0.0 (Metrics.support_f1 ~truth:[||] ~estimate:[||]);
+  check_float "exact" 1.0 (Metrics.support_f1 ~truth:[| 1; 2 |] ~estimate:[| 2; 1 |])
+
+let test_metrics_coeffs_rmse () =
+  let t = Mat.of_arrays [| [| 1.0; 0.0 |]; [| 0.0; 2.0 |] |] in
+  let e = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 0.0; 2.0 |] |] in
+  check_float ~tol:1e-12 "rmse over entries" 1.0 (Metrics.coeffs_rmse ~truth:t ~estimate:e);
+  check_raises_invalid "shape mismatch" (fun () ->
+      Metrics.coeffs_rmse ~truth:t ~estimate:(Mat.create 2 3))
+
+let test_metrics_predict_state () =
+  let d = planted ~k:3 ~n:5 ~m:4 () in
+  let coeffs = Mat.init 3 4 (fun k j -> float_of_int ((k * 4) + j)) in
+  vec_close ~tol:1e-12 "ŷ_k = B_k·coeffs_k"
+    (Mat.mat_vec d.Dataset.design.(1) (Mat.row coeffs 1))
+    (Metrics.predict_state ~coeffs d 1)
+
+let test_ols_fit_vec () =
+  let d = planted ~k:1 ~n:25 ~m:6 ~noise:0.0 () in
+  let b = d.Dataset.design.(0) in
+  let x = Vec.of_list [ 1.0; -1.0; 0.5; 0.0; 2.0; 0.25 ] in
+  vec_close ~tol:1e-9 "exact solve" x (Ols.fit_vec ~design:b ~response:(Mat.mat_vec b x));
+  mat_close ~tol:1e-12 "fit = per-state fit_vec"
+    (Mat.of_arrays [| Ols.fit_vec ~design:b ~response:d.Dataset.response.(0) |])
+    (Ols.fit d)
+
+let test_somp_one_state_recovery () =
+  (* One-state S-OMP is plain OMP on that state. *)
+  let d = planted ~noise:0.0 () in
+  let r = Somp.fit (one_state d 0) ~n_terms:3 in
+  let sorted = Array.copy r.Somp.support in
+  Array.sort compare sorted;
+  check_true "support found" (sorted = [| 0; 7; 19 |]);
+  check_float ~tol:1e-8 "coefficient" (-0.5) (Mat.get r.Somp.coeffs 0 19)
+
+let test_somp_one_state_prediction () =
+  let d = planted ~noise:0.01 () in
+  let one = one_state d 1 in
+  let r = Somp.fit one ~n_terms:3 in
+  check_true "fit quality"
+    (Metrics.relative_rms
+       ~predicted:(Metrics.predict_state ~coeffs:r.Somp.coeffs one 0)
+       ~actual:d.Dataset.response.(1)
+     < 0.05)
+
+let test_somp_matches_naive () =
+  let d = planted ~noise:0.02 () in
+  let fast = Somp.fit d ~n_terms:5 and slow = Somp.fit_naive d ~n_terms:5 in
+  check_true "same support" (fast.Somp.support = slow.Somp.support);
+  mat_close ~tol:1e-9 "same coefficients" slow.Somp.coeffs fast.Somp.coeffs
+
+let test_somp_caps_terms () =
+  let d = planted ~n:4 ~m:10 () in
+  let r = Somp.fit d ~n_terms:50 in
+  check_true "support capped at N" (Array.length r.Somp.support <= 4);
+  let distinct = List.sort_uniq compare (Array.to_list r.Somp.support) in
+  check_int "no repeats" (Array.length r.Somp.support) (List.length distinct)
 
 let suite =
   [ ( "model.dataset",
@@ -259,30 +293,29 @@ let suite =
         case "truncate" test_dataset_truncate;
         case "fold split partitions" test_dataset_fold_split;
         case "select_rows" test_dataset_select_rows;
-        case "shape mismatch rejected" test_dataset_mismatch_rejected ] );
+        case "shape mismatch rejected" test_dataset_mismatch_rejected;
+        case "cached products" test_dataset_caches;
+        case "append_row" test_dataset_append_row;
+        case "validate report" test_dataset_validate ] );
     ( "model.metrics",
       [ case "rmse" test_metrics_rmse;
         case "relative" test_metrics_relative;
         case "pooled" test_metrics_pooled;
-        case "r-squared" test_metrics_r2 ] );
+        case "r-squared" test_metrics_r2;
+        case "max_abs_error" test_metrics_max_abs;
+        case "support precision/recall/F1" test_metrics_support;
+        case "coeffs_rmse" test_metrics_coeffs_rmse;
+        case "predict_state" test_metrics_predict_state ] );
     ( "model.ols",
       [ case "recovers planted model" test_ols_recovers;
-        case "fit on support" test_ols_on_support ] );
-    ( "model.ridge",
-      [ case "shrinkage" test_ridge_shrinks;
-        case "dual = primal" test_ridge_dual_matches_primal;
-        case "cv" test_ridge_cv ] );
-    ( "model.omp",
-      [ case "exact recovery" test_omp_exact_recovery;
-        case "prediction" test_omp_prediction;
-        case "cv sparsity" test_omp_cv_selects_sparsity ] );
+        case "fit on support" test_ols_on_support;
+        case "fit_vec" test_ols_fit_vec ] );
     ( "model.somp",
       [ case "shared support" test_somp_shared_support;
         case "beats per-state at small N" test_somp_beats_per_state_at_small_n;
         case "select_next exclusion" test_somp_select_next_excludes;
-        case "cv" test_somp_cv ] );
-    ( "model.crossval",
-      [ case "fold partition" test_folds_partition;
-        case "select" test_select;
-        case "grid3" test_grid3;
-        case "log grid" test_log_grid ] ) ]
+        case "cv" test_somp_cv;
+        case "one-state exact recovery" test_somp_one_state_recovery;
+        case "one-state prediction" test_somp_one_state_prediction;
+        case "fit = fit_naive" test_somp_matches_naive;
+        case "support capped, no repeats" test_somp_caps_terms ] ) ]

@@ -94,37 +94,6 @@ let test_pdf () =
   check_float ~tol:1e-10 "log_pdf consistent" (log (Gaussian.pdf 1.3))
     (Gaussian.log_pdf 1.3)
 
-(* --- Mvn --- *)
-
-let test_mvn_moments () =
-  let open Cbmf_linalg in
-  let cov = Mat.of_arrays [| [| 2.0; 0.8 |]; [| 0.8; 1.0 |] |] in
-  let d = Mvn.create ~mu:(Vec.of_list [ 1.0; -2.0 ]) ~cov in
-  let r = Rng.create 17 in
-  let n = 50_000 in
-  let xs = Array.init n (fun _ -> Mvn.sample d r) in
-  let col j = Array.map (fun v -> v.(j)) xs in
-  check_true "mean0" (abs_float (Stats.mean (col 0) -. 1.0) < 0.05);
-  check_true "mean1" (abs_float (Stats.mean (col 1) +. 2.0) < 0.05);
-  check_true "var0" (abs_float (Stats.variance (col 0) -. 2.0) < 0.1);
-  check_true "cov01" (abs_float (Stats.covariance (col 0) (col 1) -. 0.8) < 0.05)
-
-let test_mvn_logpdf () =
-  (* Standard normal: log pdf at 0 = −(n/2)·log(2π). *)
-  let d = Mvn.standard 3 in
-  check_float ~tol:1e-9 "logpdf origin"
-    (-1.5 *. log (2.0 *. Float.pi))
-    (Mvn.log_pdf d (Cbmf_linalg.Vec.create 3))
-
-let test_mvn_conditional () =
-  let open Cbmf_linalg in
-  let cov = Mat.of_arrays [| [| 1.0; 0.9 |]; [| 0.9; 1.0 |] |] in
-  let d = Mvn.create ~mu:(Vec.create 2) ~cov in
-  let c = Mvn.conditional d ~indices:[| 1 |] ~values:(Vec.of_list [ 2.0 ]) in
-  check_int "dim" 1 (Mvn.dim c);
-  check_float ~tol:1e-9 "cond mean" 1.8 (Mvn.mean c).(0);
-  check_float ~tol:1e-9 "cond var" 0.19 (Mat.get (Mvn.covariance c) 0 0)
-
 (* --- Lhs --- *)
 
 let test_lhs_stratified () =
@@ -178,6 +147,110 @@ let test_histogram () =
   check_int "bins" 2 (Array.length h);
   check_int "counts total" 5 (Array.fold_left (fun a (_, c) -> a + c) 0 h)
 
+(* --- Kept-surface cases ---
+
+   Each draws from its own seeded generator, so no shared stream
+   shifts under the cases above. *)
+
+let test_derive_pure () =
+  let base = Rng.seed_of (Rng.create 31) in
+  let a = Rng.derive base ~index:3 and b = Rng.derive base ~index:3 in
+  for _ = 1 to 20 do
+    check_true "same (base, index) = same stream" (Rng.uint64 a = Rng.uint64 b)
+  done;
+  let c = Rng.derive base ~index:4 and d = Rng.derive base ~index:3 in
+  check_true "index changes the stream" (Rng.uint64 c <> Rng.uint64 d)
+
+let test_uniform_bool () =
+  let r = Rng.create 37 in
+  let trues = ref 0 in
+  for _ = 1 to 10_000 do
+    let x = Rng.uniform r (-2.0) 3.0 in
+    check_true "uniform in [a, b)" (x >= -2.0 && x < 3.0);
+    if Rng.bool r then incr trues
+  done;
+  (* Expected 5000; 5σ = 250. *)
+  check_true "bool balanced" (abs (!trues - 5000) < 250)
+
+let test_shuffle_inplace () =
+  let r = Rng.create 41 in
+  let xs = Array.init 30 (fun i -> i) in
+  Rng.shuffle_inplace r xs;
+  let sorted = Array.copy xs in
+  Array.sort compare sorted;
+  check_true "same elements" (sorted = Array.init 30 (fun i -> i));
+  check_true "order changed" (xs <> Array.init 30 (fun i -> i))
+
+let test_gaussian_vector () =
+  let a = Rng.create 43 and b = Rng.create 43 in
+  let v = Rng.gaussian_vector a 5 in
+  check_int "dim" 5 (Array.length v);
+  check_true "same draws as scalar calls"
+    (v = Array.init 5 (fun _ -> Rng.gaussian b))
+
+let test_erfc () =
+  List.iter
+    (fun x -> check_float ~tol:1e-12 "erfc = 1 − erf" (1.0 -. Gaussian.erf x) (Gaussian.erfc x))
+    [ -2.0; -0.5; 0.0; 0.3; 1.0; 2.5 ]
+
+let test_cdf_symmetry () =
+  List.iter
+    (fun x ->
+      check_float ~tol:1e-7 "cdf(−x) = 1 − cdf(x)" (1.0 -. Gaussian.cdf x)
+        (Gaussian.cdf (-.x)))
+    [ 0.1; 0.7; 1.5; 2.8 ]
+
+let test_quantile_mu_sigma () =
+  check_float ~tol:1e-9 "affine in mu, sigma"
+    (2.0 +. (3.0 *. Gaussian.quantile 0.9))
+    (Gaussian.quantile_mu_sigma ~mu:2.0 ~sigma:3.0 0.9);
+  (* quantile's documented accuracy is 1e-5; q(0.5) lands within 1e-6 of 0. *)
+  check_float ~tol:1e-6 "median = mu" (-1.5)
+    (Gaussian.quantile_mu_sigma ~mu:(-1.5) ~sigma:0.2 0.5)
+
+let test_log_likelihood () =
+  let xs = [| 0.3; -1.2; 2.0 |] in
+  check_float ~tol:1e-12 "sum of log_pdf"
+    (Array.fold_left (fun acc x -> acc +. Gaussian.log_pdf ~mu:0.5 ~sigma:1.5 x) 0.0 xs)
+    (Gaussian.log_likelihood ~mu:0.5 ~sigma:1.5 xs);
+  check_float ~tol:1e-12 "pdf scales with sigma"
+    (Gaussian.pdf 0.5 /. 2.0)
+    (Gaussian.pdf ~mu:1.0 ~sigma:2.0 2.0)
+
+let test_lhs_uniform_range () =
+  let m = Lhs.uniform (Rng.create 47) ~n:10 ~dim:4 in
+  check_int "rows" 10 (fst (Cbmf_linalg.Mat.dim m));
+  check_int "cols" 4 (snd (Cbmf_linalg.Mat.dim m));
+  Array.iter (fun x -> check_true "in [0, 1)" (x >= 0.0 && x < 1.0)) m.Cbmf_linalg.Mat.data;
+  let again = Lhs.uniform (Rng.create 47) ~n:10 ~dim:4 in
+  check_true "deterministic per seed" (m.Cbmf_linalg.Mat.data = again.Cbmf_linalg.Mat.data)
+
+let test_stats_spread () =
+  let xs = [| 1.0; 3.0; 5.0; 7.0 |] in
+  check_float ~tol:1e-12 "stddev² = variance" (Stats.variance xs)
+    (Stats.stddev xs ** 2.0);
+  check_float ~tol:1e-12 "covariance with self = variance" (Stats.variance xs)
+    (Stats.covariance xs xs);
+  check_float "singleton variance" 0.0 (Stats.variance [| 4.0 |])
+
+let test_stats_shape () =
+  let sym = [| -2.0; -1.0; 0.0; 1.0; 2.0 |] in
+  check_float ~tol:1e-12 "symmetric skew 0" 0.0 (Stats.skewness sym);
+  check_true "right tail skews positive"
+    (Stats.skewness [| 0.0; 0.0; 0.0; 0.0; 10.0 |] > 0.0);
+  (* Two-point ±1 distribution: 4th moment 1, variance 1 → excess −2. *)
+  check_float ~tol:1e-12 "two-point excess kurtosis" (-2.0)
+    (Stats.kurtosis_excess [| -1.0; 1.0; -1.0; 1.0 |])
+
+let test_stats_order () =
+  let xs = [| 9.0; 1.0; 5.0 |] in
+  let before = Array.copy xs in
+  check_float "odd median" 5.0 (Stats.median xs);
+  check_float ~tol:1e-12 "q0.25" 3.0 (Stats.quantile xs 0.25);
+  check_true "input unchanged" (xs = before);
+  check_true "summary"
+    (Stats.summary xs = "n=3 mean=5 sd=4 min=1 med=5 max=9")
+
 let suite =
   [ ( "prob.rng",
       [ case "determinism" test_determinism;
@@ -186,22 +259,30 @@ let suite =
         case "float range" test_float_range;
         slow_case "int uniformity" test_int_uniform;
         slow_case "gaussian moments" test_gaussian_moments;
-        case "permutation" test_shuffle_permutation ] );
+        case "permutation" test_shuffle_permutation;
+        case "derive is pure" test_derive_pure;
+        case "uniform/bool" test_uniform_bool;
+        case "shuffle_inplace" test_shuffle_inplace;
+        case "gaussian_vector" test_gaussian_vector ] );
     ( "prob.gaussian",
       [ case "erf values" test_erf_values;
         case "cdf values" test_cdf_values;
         case "quantile roundtrip" test_quantile_roundtrip;
         case "quantile known values" test_quantile_known;
-        case "pdf" test_pdf ] );
-    ( "prob.mvn",
-      [ slow_case "sample moments" test_mvn_moments;
-        case "log_pdf" test_mvn_logpdf;
-        case "conditional" test_mvn_conditional ] );
+        case "pdf" test_pdf;
+        case "erfc" test_erfc;
+        case "cdf symmetry" test_cdf_symmetry;
+        case "quantile_mu_sigma" test_quantile_mu_sigma;
+        case "log_likelihood" test_log_likelihood ] );
     ( "prob.lhs",
       [ case "stratification" test_lhs_stratified;
-        case "gaussian moments" test_lhs_gaussian_moments ] );
+        case "gaussian moments" test_lhs_gaussian_moments;
+        case "uniform range and determinism" test_lhs_uniform_range ] );
     ( "prob.stats",
       [ case "basics" test_stats_basics;
         case "quantile interpolation" test_quantile_interp;
         case "pearson" test_pearson;
-        case "histogram" test_histogram ] ) ]
+        case "histogram" test_histogram;
+        case "spread" test_stats_spread;
+        case "shape moments" test_stats_shape;
+        case "order statistics" test_stats_order ] ) ]

@@ -971,7 +971,7 @@ let test_client_connection_lost () =
                 { code = Protocol.Model_not_found; message = "" })))
     && not (Client.retryable (Client.Unexpected "x")))
 
-(* --- Full server: admission control, drain, failover ------------------ *)
+(* --- Full server: admission control, drain --------------------------- *)
 
 let with_server_dir f =
   with_temp_dir (fun dir -> f dir)
@@ -1093,117 +1093,51 @@ let test_server_drain_cutoff () =
       | exception Unix.Unix_error _ -> ());
       Unix.close fd)
 
-let test_with_failover () =
-  let m = synth_model ~dim:5 ~k:3 ~a:8 () in
-  with_server_dir (fun dir ->
-      let srv = start_server ~dir ~name:"m" m in
-      let live = Server.addr srv in
-      let dead = Unix.ADDR_UNIX (Filename.concat dir "nobody-home.sock") in
-      let n = 7 in
-      let xs = Mat.init n m.Model.input_dim (fun _ _ -> g ()) in
-      let states = Array.init n (fun i -> i mod m.Model.n_states) in
-      let lm, ls = Engine.predict_batch m ~states ~xs in
-      (* First replica dead: failover lands on the second. *)
-      (match
-         Client.with_failover ~base_backoff:0.001 [ dead; live ] (fun c ->
-             Client.predict_typed c ~name:"m" ~states ~xs)
-       with
-      | Ok (rm, rs) ->
-          check_true "failover answer bit-identical" (bits_eq lm rm && bits_eq ls rs)
-      | Error f -> Alcotest.failf "failover: %s" (Client.failure_to_string f));
-      (* Typed server answers are final — no retry storm on user error. *)
-      (match
-         Client.with_failover ~base_backoff:0.001 [ live ] (fun c ->
-             Client.predict_typed c ~name:"nope" ~states ~xs)
-       with
-      | Error (Client.Server_error { code = Protocol.Model_not_found; _ }) -> ()
-      | Ok _ -> Alcotest.fail "predict of unknown model succeeded"
-      | Error f -> Alcotest.failf "expected Model_not_found: %s"
-          (Client.failure_to_string f));
-      (* All replicas dead: attempts exhaust into the last failure. *)
-      (match
-         Client.with_failover ~attempts:3 ~base_backoff:0.001 [ dead ] (fun c ->
-             Client.predict_typed c ~name:"m" ~states ~xs)
-       with
-      | Error (Client.Connection_lost _) -> ()
-      | Ok _ -> Alcotest.fail "dead replica answered"
-      | Error f -> Alcotest.failf "expected Connection_lost: %s"
-          (Client.failure_to_string f));
-      Server.stop srv)
+(* --- Stats JSON ------------------------------------------------------- *)
 
-let test_supervisor_failover () =
-  let m = synth_model ~dim:5 ~k:3 ~a:8 () in
-  with_server_dir (fun dir ->
-      let make index =
-        let registry = Registry.create () in
-        Registry.put registry ~name:"m" m;
-        let path = Filename.concat dir (Printf.sprintf "repl-%d.sock" index) in
-        Server.start
-          ~config:{ Server.default_config with workers = 2 }
-          ~registry (Unix.ADDR_UNIX path)
-      in
-      let sup =
-        Supervisor.start ~health_interval:0.02 ~base_backoff:0.02
-          ~ping_timeout:0.3 ~n:2 make
-      in
-      Fun.protect ~finally:(fun () -> Supervisor.stop sup) (fun () ->
-          let addrs = Supervisor.addrs sup in
-          check_int "two replicas up" 2 (List.length addrs);
-          let n = 7 in
-          let xs = Mat.init n m.Model.input_dim (fun _ _ -> g ()) in
-          let states = Array.init n (fun i -> i mod m.Model.n_states) in
-          let lm, ls = Engine.predict_batch m ~states ~xs in
-          let check_serving tag =
-            match
-              Client.with_failover ~base_backoff:0.005 ~timeout:0.5
-                (Supervisor.addrs sup)
-                (fun c -> Client.predict_typed c ~name:"m" ~states ~xs)
-            with
-            | Ok (rm, rs) -> check_true tag (bits_eq lm rm && bits_eq ls rs)
-            | Error f -> Alcotest.failf "%s: %s" tag (Client.failure_to_string f)
-          in
-          check_serving "both replicas serving";
-          (* Kill replica 0 out from under the supervisor. *)
-          let victim = List.hd addrs in
-          let c = Client.connect victim in
-          Client.shutdown c;
-          Client.close c;
-          (* The fleet keeps answering throughout via failover... *)
-          check_serving "serving through the crash";
-          (* ...and the supervisor restarts the victim. *)
-          let deadline = Unix.gettimeofday () +. 10.0 in
-          let rec await () =
-            if Supervisor.restarts sup >= 1 then ()
-            else if Unix.gettimeofday () > deadline then
-              Alcotest.fail "supervisor never restarted the dead replica"
-            else begin
-              Thread.delay 0.02;
-              await ()
-            end
-          in
-          await ();
-          (* The restarted replica itself answers again (poll: it may
-             still be mid-spawn for a moment). *)
-          let deadline = Unix.gettimeofday () +. 10.0 in
-          let rec await_serving () =
-            let answered =
-              match
-                Client.with_failover ~attempts:2 ~base_backoff:0.005
-                  ~timeout:0.5 [ victim ]
-                  (fun c -> Client.predict_typed c ~name:"m" ~states ~xs)
-              with
-              | Ok (rm, rs) -> bits_eq lm rm && bits_eq ls rs
-              | Error _ -> false
-            in
-            if answered then ()
-            else if Unix.gettimeofday () > deadline then
-              Alcotest.fail "restarted replica never answered"
-            else begin
-              Thread.delay 0.05;
-              await_serving ()
-            end
-          in
-          await_serving ()))
+(* A fixed call sequence pins every byte of [Stats.to_json]: the overall
+   histogram, each phase, the occupancy block, the counters and [extra].
+   Latencies sit away from bucket edges except the clamped negative one
+   (bucket 1 µs) and the overflow one (bucket "inf"). *)
+let test_stats_json_golden () =
+  let s = Stats.create () in
+  Stats.record s ~op:"predict" ~ok:true ~seconds:0.00003 ~batch:64;
+  Stats.record s ~op:"predict" ~ok:false ~seconds:0.0012 ~batch:8;
+  Stats.record s ~op:"predict" ~ok:true ~seconds:0.0013 ~batch:72;
+  Stats.record s ~op:"load" ~ok:true ~seconds:0.25;
+  Stats.record s ~op:"stats" ~ok:true ~seconds:20.0;
+  Stats.record s ~op:"ping" ~ok:true ~seconds:(-1.0);
+  Stats.record_queue_wait s ~seconds:0.000004;
+  Stats.record_queue_wait s ~seconds:0.00013;
+  Stats.record_batch_phase s ~batch_wait:0.00023 ~compute:0.0031;
+  Stats.record_batch_phase s ~batch_wait:0.0 ~compute:0.045;
+  Stats.record_flush s ~requests:2 ~points:72;
+  Stats.record_flush s ~requests:1 ~points:0;
+  Stats.record_shed s;
+  Stats.record_deadline s;
+  Stats.set_queue_depth s 3;
+  Stats.set_queue_depth s 1;
+  let golden =
+    String.concat ""
+      [ {|{"requests":{"load":1,"ping":1,"predict":3,"stats":1},|};
+        {|"errors":1,"points":144,"max_batch":72,"sheds":1,|};
+        {|"deadline_exceeded":1,"queue_depth":1,"queue_peak":3,|};
+        {|"latency_us":{"count":6,"p50":2000,"p99":inf,"buckets":|};
+        {|[[1,1],[50,1],[2000,2],[500000,1],["inf",1]]},|};
+        {|"phases":{|};
+        {|"queue_wait_us":{"count":2,"p50":5,"p99":200,|};
+        {|"buckets":[[5,1],[200,1]]},|};
+        {|"batch_wait_us":{"count":2,"p50":1,"p99":500,|};
+        {|"buckets":[[1,1],[500,1]]},|};
+        {|"compute_us":{"count":2,"p50":5000,"p99":50000,|};
+        {|"buckets":[[5000,1],[50000,1]]}},|};
+        {|"batch_occupancy":{"flushes":2,"coalesced_requests":3,|};
+        {|"max_points":72,"p50_points":1,"p99_points":100,|};
+        {|"buckets":[[1,1],[100,1]]},"x":1}|} ]
+  in
+  Alcotest.(check string)
+    "to_json bytes" golden
+    (Stats.to_json ~extra:[ ("x", "1") ] s)
 
 (* --- Fault taxonomy integration -------------------------------------- *)
 
@@ -1724,8 +1658,7 @@ let suite =
         case "typed Connection_lost" test_client_connection_lost;
         case "overload sheds with typed reply" test_server_shed_overload;
         case "in-flight request survives stop" test_server_graceful_drain;
-        case "drain cutoff bounds stop" test_server_drain_cutoff;
-        case "with_failover across replicas" test_with_failover;
-        case "supervisor restarts a dead replica" test_supervisor_failover ] );
+        case "drain cutoff bounds stop" test_server_drain_cutoff ] );
+    ( "serve.stats", [ case "to_json golden" test_stats_json_golden ] );
     ( "serve.fault",
       [ case "Bad_snapshot taxonomy integration" test_bad_snapshot_fault ] ) ]

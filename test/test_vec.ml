@@ -89,6 +89,53 @@ let prop_cauchy_schwarz =
       let y = Vec.map (fun v -> (2.0 *. v) -. 1.0) x in
       abs_float (Vec.dot x y) <= (Vec.norm2 x *. Vec.norm2 y) +. 1e-6)
 
+let test_fill_blit () =
+  let v = Vec.create 3 in
+  Vec.fill v 1.5;
+  vec_close "fill" (Vec.of_list [ 1.5; 1.5; 1.5 ]) v;
+  let dst = Vec.create 3 in
+  Vec.blit ~src:(Vec.of_list [ 1.0; 2.0; 3.0 ]) ~dst;
+  vec_close "blit" (Vec.of_list [ 1.0; 2.0; 3.0 ]) dst
+
+let test_neg_scale () =
+  let x = Vec.of_list [ 1.0; -2.0; 0.5 ] in
+  vec_close "neg" (Vec.of_list [ -1.0; 2.0; -0.5 ]) (Vec.neg x);
+  vec_close "scale" (Vec.of_list [ 2.0; -4.0; 1.0 ]) (Vec.scale 2.0 x);
+  vec_close "scale leaves input" (Vec.of_list [ 1.0; -2.0; 0.5 ]) x
+
+let test_map2_fold () =
+  let x = Vec.of_list [ 1.0; 2.0; 3.0 ] and y = Vec.of_list [ 4.0; 5.0; 6.0 ] in
+  vec_close "map2 (+) = add" (Vec.add x y) (Vec.map2 ( +. ) x y);
+  check_float "fold (+) = sum" (Vec.sum x) (Vec.fold ( +. ) 0.0 x);
+  check_float "fold max" 3.0 (Vec.fold Float.max neg_infinity x)
+
+let test_copy_independent () =
+  let x = Vec.of_list [ 1.0; 2.0 ] in
+  let y = Vec.copy x in
+  Vec.set y 0 9.0;
+  check_float "original untouched" 1.0 (Vec.get x 0);
+  check_float "copy written" 9.0 (Vec.get y 0)
+
+let test_to_string () =
+  check_true "to_string"
+    (Vec.to_string (Vec.of_list [ 1.5; -2.0 ]) = "[1.5; -2]")
+
+let prop_norm_order =
+  qcase "norm_inf <= norm2 <= norm1"
+    QCheck2.Gen.(list_size (int_range 1 20) (float_range (-100.) 100.))
+    (fun l ->
+      let x = Array.of_list l in
+      Vec.norm_inf x <= Vec.norm2 x +. 1e-9
+      && Vec.norm2 x <= Vec.norm1 x +. 1e-9)
+
+let prop_dist_symmetric =
+  qcase "dist symmetric, zero on self"
+    QCheck2.Gen.(list_size (int_range 1 20) (float_range (-10.) 10.))
+    (fun l ->
+      let x = Array.of_list l in
+      let y = Vec.map (fun v -> (0.5 *. v) +. 1.0) x in
+      Vec.dist x x = 0.0 && abs_float (Vec.dist x y -. Vec.dist y x) < 1e-12)
+
 let suite =
   [ ( "linalg.vec",
       [ case "create" test_create;
@@ -103,4 +150,11 @@ let suite =
         case "map/mul" test_map;
         case "approx_equal" test_approx_equal;
         prop_triangle;
-        prop_cauchy_schwarz ] ) ]
+        prop_cauchy_schwarz;
+        case "fill/blit" test_fill_blit;
+        case "neg/scale" test_neg_scale;
+        case "map2/fold" test_map2_fold;
+        case "copy independence" test_copy_independent;
+        case "to_string" test_to_string;
+        prop_norm_order;
+        prop_dist_symmetric ] ) ]
