@@ -8,14 +8,17 @@
    reports the true paper-scale fitting costs).
 
    Usage: main.exe [tab1] [tab2] [fig2] [fig3] [ablation] [micro] [par]
-                   [posterior] [serve] [frontend] [synth] [quick|full|smoke]
-   CBMF_BENCH_QUICK=1 forces the reduced [synth] grid without smoke
-   validation.
+                   [posterior] [serve] [serve_load] [frontend] [synth]
+                   [active] [quick|full|smoke]
    With no arguments everything runs at paper scale with a 4-point
    sample-budget grid for the figures; [full] uses the paper's 6-point
-   grid, [quick] reduced (non-paper) settings. *)
+   grid, [quick] reduced (non-paper) settings, [smoke] the tiny
+   instances and schema/parity checks that [dune runtest] runs (for
+   [synth], smoke implies quick).  Each perf section writes its
+   BENCH_*.json artifact through [Kit]. *)
 
 open Cbmf_experiments
+module Json = Cbmf_robust.Json
 
 let fmt = Format.std_formatter
 
@@ -71,14 +74,14 @@ let run_ablation () =
 
 (* Domain-count matrix for the parallel layer: {1, 2, 4} domains ×
    {em-fit, posterior-dual, matmul_nt, predict_batch, synth-k128},
-   every cell timed min-of-reps against a sequential (pool size 1)
-   reference pass, written to BENCH_parallel.json.  [smoke] shrinks
-   the workloads (synthetic instances, no Monte-Carlo generation),
-   re-reads the JSON, validates the schema and fails hard unless the
-   1-domain cells stay within the 1.05x overhead bound — the contract
-   that a 1-domain pool takes the sequential fallback and costs
-   (essentially) nothing.  The [par-smoke] dune alias runs this under
-   [dune runtest]. *)
+   every cell timed (min, median, MAD of reps) against a sequential
+   (pool size 1) reference pass, written to BENCH_parallel.json;
+   speedup and overhead read the min.  [smoke] shrinks the workloads
+   (synthetic instances, no Monte-Carlo generation), validates the
+   schema and fails hard unless the 1-domain cells stay within the
+   1.05x overhead bound — the contract that a 1-domain pool takes the
+   sequential fallback and costs (essentially) nothing.  The
+   [par-smoke] dune alias runs this under [dune runtest]. *)
 let run_par ~smoke ~quick =
   section
     (if smoke then "par (smoke: domain-matrix schema + 1-domain overhead)"
@@ -89,18 +92,6 @@ let run_par ~smoke ~quick =
   let open Cbmf_linalg in
   let domain_counts = [ 1; 2; 4 ] in
   let reps = if smoke then 5 else 3 in
-  let time_min f =
-    f ();
-    (* warm: spawns the pool at the current size, pages buffers in *)
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
   let synth_spec ~k ~d ~m ~active ~seed =
     { Synthetic.k; m; d; active_per_state = active; rho = 0.9;
       noise_sigma = 0.05; density = 0.2; seed }
@@ -198,22 +189,22 @@ let run_par ~smoke ~quick =
     List.map
       (fun (name, f) ->
         Pool.set_default_size 1;
-        let seconds_seq = time_min f in
+        let seq = Kit.time ~reps f in
         let cells =
           List.map
             (fun domains ->
               Pool.set_default_size domains;
-              let s = time_min f in
-              (domains, s, seconds_seq /. s, s /. seconds_seq))
+              (domains, Kit.time ~reps f))
             domain_counts
         in
-        Format.fprintf fmt "  %-15s seq %9.4f s  |" name seconds_seq;
+        Format.fprintf fmt "  %-15s seq %9.4f s  |" name seq.Kit.min;
         List.iter
-          (fun (dc, s, sp, _) ->
-            Format.fprintf fmt "  %dd %9.4f s (%5.2fx)" dc s sp)
+          (fun (dc, t) ->
+            Format.fprintf fmt "  %dd %9.4f s (%5.2fx)" dc t.Kit.min
+              (seq.Kit.min /. t.Kit.min))
           cells;
         Format.fprintf fmt "@.";
-        (name, seconds_seq, cells))
+        (name, seq, cells))
       kernels
   in
   Pool.set_default_size (Pool.env_domains ());
@@ -221,75 +212,45 @@ let run_par ~smoke ~quick =
   let tuned = Tune.recommended_domains () in
   Format.fprintf fmt
     "  recommended_domain_count = %d, tuned_domains = %d@." rec_domains tuned;
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"domain_counts\": [%s],\n"
-    (String.concat ", " (List.map string_of_int domain_counts));
-  Printf.bprintf buf "  \"recommended_domain_count\": %d,\n" rec_domains;
-  Printf.bprintf buf "  \"tuned_domains\": %d,\n" tuned;
-  Buffer.add_string buf "  \"kernels\": [\n";
-  List.iteri
-    (fun i (name, seconds_seq, cells) ->
-      Printf.bprintf buf "    {\"name\": %S, \"seconds_seq\": %.6f, \"cells\": [\n"
-        name seconds_seq;
-      List.iteri
-        (fun j (dc, s, sp, ov) ->
-          Printf.bprintf buf
-            "      {\"domains\": %d, \"seconds\": %.6f, \
-             \"speedup_vs_seq\": %.4f, \"overhead_vs_seq\": %.4f}%s\n"
-            dc s sp ov
-            (if j = List.length cells - 1 then "" else ","))
-        cells;
-      Printf.bprintf buf "    ]}%s\n"
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  Buffer.add_string buf "  ]\n";
-  Buffer.add_string buf "}\n";
-  let oc = open_out "BENCH_parallel.json" in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Format.fprintf fmt "  [wrote BENCH_parallel.json]@.";
+  let path = "BENCH_parallel.json" in
+  Kit.write path
+    [ ("domain_counts", Json.List (List.map (fun d -> Json.Int d) domain_counts));
+      ("reps", Json.Int reps);
+      ("tuned_domains", Json.Int tuned);
+      ( "kernels",
+        Json.Obj
+          (List.map
+             (fun (name, seq, cells) ->
+               ( name,
+                 Json.Obj
+                   [ ("seq", Kit.timing_json seq);
+                     ( "cells",
+                       Json.List
+                         (List.map
+                            (fun (dc, t) ->
+                              Json.Obj
+                                ((("domains", Json.Int dc) :: Kit.timing_fields t)
+                                @ [ ("speedup_vs_seq", Json.Float (seq.Kit.min /. t.Kit.min));
+                                    ("overhead_vs_seq", Json.Float (t.Kit.min /. seq.Kit.min)) ]))
+                            cells) ) ] ))
+             results) ) ];
   if smoke then begin
-    let ic = open_in "BENCH_parallel.json" in
-    let body = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let has needle =
-      let nl = String.length needle and bl = String.length body in
-      let rec scan i =
-        if i + nl > bl then false
-        else if String.sub body i nl = needle then true
-        else scan (i + 1)
-      in
-      scan 0
-    in
-    let required =
-      [ "\"domain_counts\""; "\"recommended_domain_count\"";
-        "\"tuned_domains\""; "\"kernels\""; "\"seconds_seq\""; "\"cells\"";
-        "\"domains\""; "\"seconds\""; "\"speedup_vs_seq\"";
-        "\"overhead_vs_seq\""; "\"em-fit\""; "\"posterior-dual\"";
-        "\"matmul_nt\""; "\"predict_batch\""; "\"synth-k128\"" ]
-    in
-    let missing = List.filter (fun k -> not (has k)) required in
-    if missing <> [] then begin
-      Format.fprintf fmt "  SMOKE FAIL: missing %s@."
-        (String.concat ", " missing);
-      exit 1
-    end;
+    Kit.check path
+      ~required:
+        [ "domain_counts"; "tuned_domains"; "kernels"; "seq"; "cells"; "domains";
+          "min_s"; "median_s"; "mad_s"; "speedup_vs_seq"; "overhead_vs_seq";
+          "em-fit"; "posterior-dual"; "matmul_nt"; "predict_batch"; "synth-k128" ];
     (* Every kernel must carry one cell per domain count, all timings
        finite and positive. *)
     List.iter
-      (fun (name, seconds_seq, cells) ->
-        if List.map (fun (dc, _, _, _) -> dc) cells <> domain_counts then begin
-          Format.fprintf fmt "  SMOKE FAIL: %s missing domain cells@." name;
-          exit 1
-        end;
+      (fun (name, seq, cells) ->
+        if List.map fst cells <> domain_counts then
+          Kit.fail "%s missing domain cells" name;
         List.iter
-          (fun (_, s, _, _) ->
-            if not (Float.is_finite s && s > 0.0) then begin
-              Format.fprintf fmt "  SMOKE FAIL: %s has bad timing@." name;
-              exit 1
-            end)
-          ((0, seconds_seq, 0.0, 0.0) :: cells))
+          (fun t ->
+            if not (Float.is_finite t.Kit.min && t.Kit.min > 0.0) then
+              Kit.fail "%s has bad timing" name)
+          (seq :: List.map snd cells))
       results;
     (* The 1-domain overhead bound: a 1-domain pool takes the
        sequential fallback, so it must stay within 5% of a sequential
@@ -318,38 +279,32 @@ let run_par ~smoke ~quick =
         in
         Array.sort compare ratios;
         let ov = ratios.(n_pairs / 2) in
-        if ov > 1.05 then begin
-          Format.fprintf fmt
-            "  SMOKE FAIL: %s 1-domain overhead %.3fx > 1.05x@." name ov;
-          exit 1
-        end)
+        if ov > 1.05 then Kit.fail "%s 1-domain overhead %.3fx > 1.05x" name ov)
       kernels;
     Pool.set_default_size (Pool.env_domains ());
     (* On a 1-core container (no CBMF_DOMAINS override) the tuner must
        recommend exactly 1 domain — no parallel path, no calibration. *)
-    (if Sys.getenv_opt "CBMF_DOMAINS" = None && rec_domains = 1
-        && tuned <> 1 then begin
-       Format.fprintf fmt
-         "  SMOKE FAIL: 1-core container but tuned_domains = %d@." tuned;
-       exit 1
-     end);
+    if Sys.getenv_opt "CBMF_DOMAINS" = None && rec_domains = 1 && tuned <> 1 then
+      Kit.fail "1-core container but tuned_domains = %d" tuned;
     Format.fprintf fmt
       "  smoke OK: schema valid, 1-domain overhead within 1.05x@."
   end
 
-(* --- Posterior before/after kernels -------------------------------- *)
+(* --- Posterior kernels ----------------------------------------------- *)
 
-(* Times the PR's optimized hot paths against the frozen pre-PR
-   implementations ([Legacy], naive GEMM), single-core, and writes
-   BENCH_posterior.json.  [smoke] swaps the LNA workload for a tiny
-   synthetic instance (no Monte-Carlo generation), then re-reads the
-   JSON and fails hard unless the schema holds and both solver paths
-   were exercised — this is what the [bench-smoke] dune alias runs
-   under [dune runtest]. *)
+(* Times the posterior hot paths single-core and writes
+   BENCH_posterior.json: the blocked GEMM against its naive oracle
+   ([Mat.matmul_nt_naive]), each forced posterior solver path, and the
+   EM fit.  The speedups over the pre-optimization posterior are
+   recorded in the project history (CHANGES.md), not re-measured.
+   [smoke] swaps the LNA workload for a tiny synthetic instance (no
+   Monte-Carlo generation) and fails hard unless the schema holds and
+   both solver paths were exercised — this is what the [bench-smoke]
+   dune alias runs under [dune runtest]. *)
 let run_posterior ~smoke =
   section
     (if smoke then "posterior (smoke: schema + both solver paths)"
-     else "posterior (before/after kernels, LNA workload)");
+     else "posterior (GEMM vs naive, solver paths, EM fit; LNA workload)");
   let module Pool = Cbmf_parallel.Pool in
   let open Cbmf_linalg in
   Pool.set_default_size 1;
@@ -393,16 +348,7 @@ let run_posterior ~smoke =
       prior.Cbmf_core.Prior.lambda;
     Array.of_list (List.rev !keep)
   in
-  let reps = if smoke then 1 else 3 in
-  let time_n f =
-    f ();
-    (* warm *)
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
+  let reps = if smoke then 1 else 5 in
   (* 1. Blocked GEMM vs the naive triple loop, at Gram-assembly scale. *)
   let gemm_dim = if smoke then 24 else 360 in
   let rng = Cbmf_prob.Rng.create 17 in
@@ -412,111 +358,71 @@ let run_posterior ~smoke =
   let gb =
     Mat.init gemm_dim gemm_dim (fun _ _ -> Cbmf_prob.Rng.gaussian rng)
   in
-  let gemm_before = time_n (fun () -> ignore (Mat.matmul_nt_naive ga gb)) in
-  let gemm_after = time_n (fun () -> ignore (Mat.matmul_nt ga gb)) in
-  (* 2. Full posterior (μ, Σ-blocks, NLML), legacy vs each new path. *)
-  let post_before =
-    time_n (fun () -> ignore (Legacy.compute ~need_sigma:true d prior ~active))
+  let gemm_naive = Kit.time ~reps (fun () -> ignore (Mat.matmul_nt_naive ga gb)) in
+  let gemm_blocked = Kit.time ~reps (fun () -> ignore (Mat.matmul_nt ga gb)) in
+  (* 2. Full posterior (μ, Σ-blocks, NLML) through each forced path. *)
+  let posterior path () =
+    Cbmf_core.Posterior.compute ~need_sigma:true ~path d prior ~active
   in
-  let post_dual =
-    time_n (fun () ->
-        ignore
-          (Cbmf_core.Posterior.compute ~need_sigma:true ~path:`Dual d prior
-             ~active))
+  let path_name p = match p with `Dual -> "dual" | `Primal -> "primal" in
+  let paths_exercised =
+    List.map
+      (fun p -> path_name (posterior p ()).Cbmf_core.Posterior.path)
+      [ `Dual; `Primal ]
   in
-  let post_primal =
-    time_n (fun () ->
-        ignore
-          (Cbmf_core.Posterior.compute ~need_sigma:true ~path:`Primal d prior
-             ~active))
-  in
-  let path_chosen =
-    let p =
-      Cbmf_core.Posterior.compute ~need_sigma:true ~path:`Auto d prior ~active
-    in
-    match p.Cbmf_core.Posterior.path with `Dual -> "dual" | `Primal -> "primal"
-  in
+  let post_dual = Kit.time ~reps (fun () -> ignore (posterior `Dual ())) in
+  let post_primal = Kit.time ~reps (fun () -> ignore (posterior `Primal ())) in
+  let path_chosen = path_name (posterior `Auto ()).Cbmf_core.Posterior.path in
   (* 3. End-to-end EM fit: the acceptance-criterion workload. *)
   let em_config =
     if smoke then { Cbmf_core.Em.default_config with max_iter = 3 }
     else Cbmf_core.Cbmf.fast_config.Cbmf_core.Cbmf.em
   in
-  let em_before =
-    time_n (fun () ->
-        ignore (Cbmf_core.Em.run ~config:em_config ~posterior:Legacy.compute d prior))
-  in
-  let em_after =
-    time_n (fun () -> ignore (Cbmf_core.Em.run ~config:em_config d prior))
+  let em_fit =
+    Kit.time ~reps (fun () -> ignore (Cbmf_core.Em.run ~config:em_config d prior))
   in
   Pool.set_default_size (Pool.env_domains ());
-  let kernels =
-    [ ("matmul_nt", gemm_before, gemm_after);
-      ("posterior-dual", post_before, post_dual);
-      ("posterior-primal", post_before, post_primal);
-      ("em-fit", em_before, em_after) ]
+  let gemm_speedup = gemm_naive.Kit.median /. gemm_blocked.Kit.median in
+  Format.fprintf fmt "  %-18s naive %10.4f s   blocked %10.4f s   %6.2fx@."
+    "matmul_nt" gemm_naive.Kit.median gemm_blocked.Kit.median gemm_speedup;
+  let timed =
+    [ ("posterior-dual", post_dual); ("posterior-primal", post_primal);
+      ("em-fit", em_fit) ]
   in
   List.iter
-    (fun (name, before, after) ->
-      Format.fprintf fmt "  %-18s before %10.4f s   after %10.4f s   %6.2fx@."
-        name before after (before /. after))
-    kernels;
+    (fun (name, t) ->
+      Format.fprintf fmt "  %-18s median %10.4f s   mad %10.4f s@." name
+        t.Kit.median t.Kit.mad)
+    timed;
   Format.fprintf fmt "  auto path on support (aK=%d, NK=%d): %s@."
     (Array.length active * d.Cbmf_model.Dataset.n_states)
     (d.Cbmf_model.Dataset.n_states * d.Cbmf_model.Dataset.n_samples)
     path_chosen;
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"workload\": %S,\n" workload;
-  Buffer.add_string buf "  \"kernel\": \"em-fit\",\n";
-  Printf.bprintf buf "  \"n_per_state\": %d,\n" n_per_state;
-  Printf.bprintf buf "  \"path_chosen\": %S,\n" path_chosen;
-  Buffer.add_string buf "  \"paths_exercised\": [\"dual\", \"primal\"],\n";
-  Buffer.add_string buf "  \"kernels\": [\n";
-  List.iteri
-    (fun i (name, before, after) ->
-      Printf.bprintf buf
-        "    {\"name\": %S, \"seconds_before\": %.6f, \"seconds_after\": \
-         %.6f, \"speedup\": %.4f}%s\n"
-        name before after (before /. after)
-        (if i = List.length kernels - 1 then "" else ","))
-    kernels;
-  Buffer.add_string buf "  ],\n";
-  Printf.bprintf buf "  \"speedup\": %.4f\n" (em_before /. em_after);
-  Buffer.add_string buf "}\n";
-  let oc = open_out "BENCH_posterior.json" in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Format.fprintf fmt "  [wrote BENCH_posterior.json]@.";
+  let path = "BENCH_posterior.json" in
+  Kit.write path
+    [ ("workload", Json.String workload);
+      ("n_per_state", Json.Int n_per_state);
+      ("reps", Json.Int reps);
+      ("path_chosen", Json.String path_chosen);
+      ("paths_exercised", Json.List (List.map (fun p -> Json.String p) paths_exercised));
+      ( "kernels",
+        Json.Obj
+          (( "matmul_nt",
+             Json.Obj
+               [ ("naive", Kit.timing_json gemm_naive);
+                 ("blocked", Kit.timing_json gemm_blocked);
+                 ("speedup", Json.Float gemm_speedup) ] )
+          :: List.map (fun (name, t) -> (name, Kit.timing_json t)) timed) ) ];
   if smoke then begin
-    let ic = open_in "BENCH_posterior.json" in
-    let len = in_channel_length ic in
-    let body = really_input_string ic len in
-    close_in ic;
-    let has needle =
-      let nl = String.length needle and bl = String.length body in
-      let rec scan i =
-        if i + nl > bl then false
-        else if String.sub body i nl = needle then true
-        else scan (i + 1)
-      in
-      scan 0
-    in
-    let required =
-      [ "\"workload\""; "\"kernel\""; "\"n_per_state\""; "\"path_chosen\"";
-        "\"paths_exercised\""; "\"kernels\""; "\"seconds_before\"";
-        "\"seconds_after\""; "\"speedup\""; "\"dual\""; "\"primal\"";
-        "\"posterior-dual\""; "\"posterior-primal\""; "\"em-fit\"" ]
-    in
-    let missing = List.filter (fun k -> not (has k)) required in
-    if missing <> [] then begin
-      Format.fprintf fmt "  SMOKE FAIL: missing %s@."
-        (String.concat ", " missing);
-      exit 1
-    end;
-    if not (path_chosen = "dual" || path_chosen = "primal") then begin
-      Format.fprintf fmt "  SMOKE FAIL: bad path_chosen %s@." path_chosen;
-      exit 1
-    end;
+    Kit.check path
+      ~required:
+        [ "workload"; "n_per_state"; "path_chosen"; "paths_exercised"; "kernels";
+          "matmul_nt"; "naive"; "blocked"; "speedup"; "median_s"; "mad_s";
+          "posterior-dual"; "posterior-primal"; "em-fit" ];
+    if paths_exercised <> [ "dual"; "primal" ] then
+      Kit.fail "forced paths took %s" (String.concat ", " paths_exercised);
+    if not (path_chosen = "dual" || path_chosen = "primal") then
+      Kit.fail "bad path_chosen %s" path_chosen;
     Format.fprintf fmt "  smoke OK: schema valid, both paths exercised@."
   end
 
@@ -524,10 +430,13 @@ let run_posterior ~smoke =
 
 (* Times the serving subsystem and writes BENCH_serve.json: batched
    [Engine.predict_batch] vs the naive per-point [Model.predict] loop
-   (points/second), and a cold registry hit (snapshot load + decode)
-   vs warm hits.  [smoke] shrinks the instance, re-reads the JSON and
-   fails hard unless the schema holds and the batched path is
-   bit-identical to the naive loop. *)
+   (points/second at the median rep), a cold registry hit (snapshot
+   load + decode) vs warm hits, and the zero-copy framed writes' wire
+   bytes and allocation.  Fails hard unless the batched path is
+   bit-identical to the naive loop, the registry round trip is
+   bit-identical and the zero-copy frames are byte-identical;
+   [smoke] shrinks the instance, validates the schema and also fails
+   unless zero-copy framing allocates strictly less. *)
 let run_serve ~smoke =
   section
     (if smoke then "serve (smoke: schema + batched = naive bitwise)"
@@ -539,45 +448,10 @@ let run_serve ~smoke =
   let k = if smoke then 6 else 32 in
   let a = if smoke then 16 else 64 in
   let batch = if smoke then 256 else 4096 in
-  let model =
-    {
-      S.Model.input_dim = dim;
-      n_states = k;
-      terms =
-        Array.init a (fun j ->
-            if j = 0 then Cbmf_basis.Term.Constant
-            else if j <= dim then Cbmf_basis.Term.Linear ((j - 1) mod dim)
-            else Cbmf_basis.Term.Square ((j - 1) mod dim));
-      col_means = Mat.init k a (fun _ _ -> 0.1 *. Cbmf_prob.Rng.gaussian rng);
-      col_scales = Array.init a (fun j -> 1.0 +. (0.1 *. float_of_int (j mod 5)));
-      y_means = Array.init k (fun _ -> Cbmf_prob.Rng.gaussian rng);
-      y_scale = 2.0;
-      mu = Mat.init a k (fun _ _ -> Cbmf_prob.Rng.gaussian rng);
-      lambda = Array.make a 1.0;
-      r = Mat.init k k (fun i j -> if i = j then 1.0 else 0.5);
-      sigma0 = 0.1;
-      cov =
-        Array.init k (fun _ ->
-            Mat.init a a (fun i j ->
-                if i = j then 1.0 else 0.01 *. float_of_int ((i + j) mod 7)));
-    }
-  in
-  (match S.Model.validate model with
-  | Ok () -> ()
-  | Error e ->
-      Format.fprintf fmt "  SMOKE FAIL: synthetic model invalid: %s@." e;
-      exit 1);
+  let model = Kit.serve_model rng ~dim ~k ~a in
   let xs = Mat.init batch dim (fun _ _ -> Cbmf_prob.Rng.gaussian rng) in
   let states = Array.init batch (fun i -> i mod k) in
   let reps = if smoke then 3 else 10 in
-  let time_n f =
-    f ();
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
   let naive () =
     let means = Array.make batch 0.0 and sds = Array.make batch 0.0 in
     for i = 0 to batch - 1 do
@@ -591,18 +465,12 @@ let run_serve ~smoke =
   (* Correctness first: the two paths must agree bit-for-bit. *)
   let nm, ns = naive () in
   let bm, bs = batched () in
-  let bits_eq xs ys =
-    Array.for_all2
-      (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-      xs ys
-  in
-  if not (bits_eq nm bm && bits_eq ns bs) then begin
-    Format.fprintf fmt "  SMOKE FAIL: batched path differs from naive loop@.";
-    exit 1
-  end;
-  let naive_s = time_n (fun () -> ignore (naive ())) in
-  let batched_s = time_n (fun () -> ignore (batched ())) in
-  let pps s = float_of_int batch /. s in
+  if not (Kit.bits_eq nm bm && Kit.bits_eq ns bs) then
+    Kit.fail "batched path differs from naive loop";
+  let naive_t = Kit.time ~reps (fun () -> ignore (naive ())) in
+  let batched_t = Kit.time ~reps (fun () -> ignore (batched ())) in
+  let pps t = float_of_int batch /. t.Kit.median in
+  let batched_speedup = naive_t.Kit.median /. batched_t.Kit.median in
   (* Registry: cold load (snapshot decode from disk) vs warm hits. *)
   let tmp = Filename.temp_file "cbmf_serve_bench" ".snap" in
   S.Snapshot.save ~path:tmp model;
@@ -611,17 +479,14 @@ let run_serve ~smoke =
   let t0 = Unix.gettimeofday () in
   let loaded = S.Registry.get reg ~name:"m" in
   let cold_s = Unix.gettimeofday () -. t0 in
-  if not (S.Model.equal loaded model) then begin
-    Format.fprintf fmt "  SMOKE FAIL: registry round-trip not bit-identical@.";
-    exit 1
-  end;
+  if not (S.Model.equal loaded model) then
+    Kit.fail "registry round-trip not bit-identical";
   let warm_reps = 1000 in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to warm_reps do
     ignore (S.Registry.get reg ~name:"m")
   done;
   let warm_s = (Unix.gettimeofday () -. t0) /. float_of_int warm_reps in
-  Sys.remove tmp;
   (* Codec: zero-copy framed writes vs the legacy encode-then-frame
      path (one string per message body, another copy to prepend the
      length prefix), on a predict request/reply pair.  Alloc per frame
@@ -667,11 +532,8 @@ let run_serve ~smoke =
     String.equal (wire_of legacy_req) (wire_of zc_req)
     && String.equal (wire_of legacy_rep) (wire_of zc_rep)
   in
-  if not wire_identical then begin
-    Format.fprintf fmt
-      "  SMOKE FAIL: zero-copy frames differ from the legacy wire bytes@.";
-    exit 1
-  end;
+  if not wire_identical then
+    Kit.fail "zero-copy frames differ from the legacy wire bytes";
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   let frames = if smoke then 200 else 2000 in
   let alloc_per_frame write =
@@ -695,7 +557,7 @@ let run_serve ~smoke =
   Format.fprintf fmt
     "  predict_batch (%d pts)  naive %10.1f pts/s   batched %10.1f pts/s   \
      %5.2fx@."
-    batch (pps naive_s) (pps batched_s) (naive_s /. batched_s);
+    batch (pps naive_t) (pps batched_t) batched_speedup;
   Format.fprintf fmt
     "  codec request frame     legacy %8.0f B      zero-copy %8.0f B    \
      %5.2fx@."
@@ -707,71 +569,44 @@ let run_serve ~smoke =
   Format.fprintf fmt
     "  registry                cold %10.6f s      warm %12.2e s      %5.0fx@."
     cold_s warm_s (cold_s /. warm_s);
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"batch\": %d,\n\
-    \  \"n_active\": %d,\n\
-    \  \"n_states\": %d,\n\
-    \  \"naive_pts_per_s\": %.1f,\n\
-    \  \"batched_pts_per_s\": %.1f,\n\
-    \  \"batched_speedup\": %.4f,\n\
-    \  \"cold_load_s\": %.6f,\n\
-    \  \"warm_hit_s\": %.9f,\n\
-    \  \"warm_speedup\": %.1f,\n\
-    \  \"codec\": {\n\
-    \    \"frames\": %d,\n\
-    \    \"request_legacy_bytes_per_frame\": %.0f,\n\
-    \    \"request_zero_copy_bytes_per_frame\": %.0f,\n\
-    \    \"request_alloc_reduction\": %.2f,\n\
-    \    \"reply_legacy_bytes_per_frame\": %.0f,\n\
-    \    \"reply_zero_copy_bytes_per_frame\": %.0f,\n\
-    \    \"reply_alloc_reduction\": %.2f,\n\
-    \    \"wire_identical\": %b\n\
-    \  },\n\
-    \  \"bit_identical\": true\n\
-     }\n"
-    batch a k (pps naive_s) (pps batched_s) (naive_s /. batched_s) cold_s
-    warm_s (cold_s /. warm_s) frames req_legacy_b req_zc_b
-    (req_legacy_b /. req_zc_b)
-    rep_legacy_b rep_zc_b
-    (rep_legacy_b /. rep_zc_b)
-    wire_identical;
-  close_out oc;
-  Format.fprintf fmt "  [wrote BENCH_serve.json]@.";
+  let path = "BENCH_serve.json" in
+  Kit.write path
+    [ ("batch", Json.Int batch);
+      ("n_active", Json.Int a);
+      ("n_states", Json.Int k);
+      ("reps", Json.Int reps);
+      ("naive", Kit.timing_json naive_t);
+      ("batched", Kit.timing_json batched_t);
+      ("naive_pts_per_s", Json.Float (pps naive_t));
+      ("batched_pts_per_s", Json.Float (pps batched_t));
+      ("batched_speedup", Json.Float batched_speedup);
+      ("cold_load_s", Json.Float cold_s);
+      ("warm_hit_s", Json.Float warm_s);
+      ("warm_speedup", Json.Float (cold_s /. warm_s));
+      ( "codec",
+        Json.Obj
+          [ ("frames", Json.Int frames);
+            ("request_legacy_bytes_per_frame", Json.Float req_legacy_b);
+            ("request_zero_copy_bytes_per_frame", Json.Float req_zc_b);
+            ("request_alloc_reduction", Json.Float (req_legacy_b /. req_zc_b));
+            ("reply_legacy_bytes_per_frame", Json.Float rep_legacy_b);
+            ("reply_zero_copy_bytes_per_frame", Json.Float rep_zc_b);
+            ("reply_alloc_reduction", Json.Float (rep_legacy_b /. rep_zc_b));
+            ("wire_identical", Json.Bool wire_identical) ] );
+      ("bit_identical", Json.Bool true) ];
   if smoke then begin
-    let ic = open_in "BENCH_serve.json" in
-    let body = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let has needle =
-      let nl = String.length needle and bl = String.length body in
-      let rec scan i =
-        if i + nl > bl then false
-        else if String.sub body i nl = needle then true
-        else scan (i + 1)
-      in
-      scan 0
-    in
-    let required =
-      [ "\"batch\""; "\"n_active\""; "\"n_states\""; "\"naive_pts_per_s\"";
-        "\"batched_pts_per_s\""; "\"batched_speedup\""; "\"cold_load_s\"";
-        "\"warm_hit_s\""; "\"warm_speedup\""; "\"codec\"";
-        "\"request_alloc_reduction\""; "\"reply_alloc_reduction\"";
-        "\"wire_identical\": true"; "\"bit_identical\": true" ]
-    in
-    let missing = List.filter (fun key -> not (has key)) required in
-    if missing <> [] then begin
-      Format.fprintf fmt "  SMOKE FAIL: missing %s@."
-        (String.concat ", " missing);
-      exit 1
-    end;
-    if req_zc_b >= req_legacy_b || rep_zc_b >= rep_legacy_b then begin
-      Format.fprintf fmt
-        "  SMOKE FAIL: zero-copy framing did not reduce allocation \
-         (request %.0f -> %.0f B, reply %.0f -> %.0f B)@."
+    Kit.check path
+      ~required:
+        [ "batch"; "n_active"; "n_states"; "naive"; "batched"; "median_s";
+          "mad_s"; "naive_pts_per_s"; "batched_pts_per_s"; "batched_speedup";
+          "cold_load_s"; "warm_hit_s"; "warm_speedup"; "codec";
+          "request_alloc_reduction"; "reply_alloc_reduction"; "wire_identical";
+          "bit_identical" ];
+    if req_zc_b >= req_legacy_b || rep_zc_b >= rep_legacy_b then
+      Kit.fail
+        "zero-copy framing did not reduce allocation (request %.0f -> %.0f B, \
+         reply %.0f -> %.0f B)"
         req_legacy_b req_zc_b rep_legacy_b rep_zc_b;
-      exit 1
-    end;
     Format.fprintf fmt
       "  smoke OK: schema valid, batched = naive bitwise, zero-copy \
        allocation reduced@."
@@ -786,11 +621,12 @@ let run_serve ~smoke =
    disabled (window 0) — and writes BENCH_serve_load.json: per level,
    offered load, batched and unbatched accepted throughput (each the
    max over interleaved reps, so concurrent runtest load cancels out),
-   client-observed p50/p99 latency of successful requests, and the
-   shed rate.  Open-loop means send times are scheduled from the
-   offered rate alone — a slow reply does not throttle the generator,
-   so overload actually lands on the admission queue instead of being
-   absorbed by closed-loop back-pressure.  A closed-loop coalesce
+   client-observed p50/p99 latency of successful requests, the shed
+   rate, and every other outcome typed: connect failures and each
+   [Client.failure] constructor.  Open-loop means send times are
+   scheduled from the offered rate alone — a slow reply does not
+   throttle the generator, so overload actually lands on the admission
+   queue instead of being absorbed by closed-loop back-pressure.  A closed-loop coalesce
    microbench follows: 32 persistent connections hammer one
    compute-heavy model through 32 worker threads, where the merged
    engine calls stream each state's covariance once per flush instead
@@ -809,38 +645,10 @@ let run_serve_load ~smoke =
   let open Cbmf_linalg in
   let rng = Cbmf_prob.Rng.create 29 in
   let dim = 8 and k = 4 in
-  let mk_model a =
-    {
-      S.Model.input_dim = dim;
-      n_states = k;
-      terms =
-        Array.init a (fun j ->
-            if j = 0 then Cbmf_basis.Term.Constant
-            else if j <= dim then Cbmf_basis.Term.Linear ((j - 1) mod dim)
-            else Cbmf_basis.Term.Square ((j - 1) mod dim));
-      col_means = Mat.init k a (fun _ _ -> 0.1 *. Cbmf_prob.Rng.gaussian rng);
-      col_scales = Array.init a (fun j -> 1.0 +. (0.1 *. float_of_int (j mod 5)));
-      y_means = Array.init k (fun _ -> Cbmf_prob.Rng.gaussian rng);
-      y_scale = 2.0;
-      mu = Mat.init a k (fun _ _ -> Cbmf_prob.Rng.gaussian rng);
-      lambda = Array.make a 1.0;
-      r = Mat.init k k (fun i j -> if i = j then 1.0 else 0.5);
-      sigma0 = 0.1;
-      cov =
-        Array.init k (fun _ ->
-            Mat.init a a (fun i j ->
-                if i = j then 1.0 else 0.01 *. float_of_int ((i + j) mod 7)));
-    }
-  in
   (* Enough active terms that engine compute (not framing) dominates a
      request, so coalescing has something real to amortize. *)
   let a = 320 in
-  let model = mk_model a in
-  (match S.Model.validate model with
-  | Ok () -> ()
-  | Error e ->
-      Format.fprintf fmt "  SMOKE FAIL: synthetic model invalid: %s@." e;
-      exit 1);
+  let model = Kit.serve_model rng ~dim ~k ~a in
   let batch = 8 in
   let xs = Mat.init batch dim (fun _ _ -> Cbmf_prob.Rng.gaussian rng) in
   let states = Array.init batch (fun i -> i mod k) in
@@ -874,18 +682,31 @@ let run_serve_load ~smoke =
   let batched_srv = start_load_server ~tag:"batched" ~window:(-1) in
   let one_request addr () =
     (* Fresh connection per request: connect, one predict, close — the
-       open-loop generator models independent arrivals, not sessions. *)
+       open-loop generator models independent arrivals, not sessions.
+       [predict_typed] folds transport problems into a typed failure;
+       anything it still raises counts as [Unexpected]. *)
     match S.Client.connect ~timeout:5.0 addr with
-    | exception _ -> `Lost
+    | exception _ -> `Connect_failed
     | c ->
         Fun.protect
           ~finally:(fun () -> try S.Client.close c with _ -> ())
           (fun () ->
             match S.Client.predict_typed c ~name:"m" ~states ~xs with
             | Ok _ -> `Ok
-            | Error (S.Client.Overloaded _) -> `Shed
-            | Error _ -> `Lost
-            | exception _ -> `Lost)
+            | Error f -> `Failed f
+            | exception e -> `Failed (S.Client.Unexpected (Printexc.to_string e)))
+  in
+  (* Outcome classes other than success, in artifact order. *)
+  let classes =
+    [ "connect_failed"; "overloaded"; "connection_lost"; "server_error";
+      "unexpected" ]
+  in
+  let class_of = function
+    | `Connect_failed -> "connect_failed"
+    | `Failed (S.Client.Overloaded _) -> "overloaded"
+    | `Failed (S.Client.Connection_lost _) -> "connection_lost"
+    | `Failed (S.Client.Server_error _) -> "server_error"
+    | `Failed (S.Client.Unexpected _) -> "unexpected"
   in
   (* Calibrate: sequential closed-loop rate over one connection against
      the unbatched server (a solo closed-loop request on the batched
@@ -904,7 +725,7 @@ let run_serve_load ~smoke =
     let n_threads = min 16 (4 * mult) in
     let total = (if smoke then 60 else 400) * mult in
     let lock = Mutex.create () in
-    let ok = ref 0 and shed = ref 0 and lost = ref 0 in
+    let ok = ref 0 and failures = Hashtbl.create 8 in
     let lats = ref [] in
     let start = Unix.gettimeofday () in
     let worker tid =
@@ -924,8 +745,10 @@ let run_serve_load ~smoke =
         | `Ok ->
             incr ok;
             lats := lat_us :: !lats
-        | `Shed -> incr shed
-        | `Lost -> incr lost);
+        | (`Connect_failed | `Failed _) as f ->
+            let c = class_of f in
+            Hashtbl.replace failures c
+              (1 + Option.value ~default:0 (Hashtbl.find_opt failures c)));
         Mutex.unlock lock;
         j := !j + n_threads
       done
@@ -942,12 +765,21 @@ let run_serve_load ~smoke =
                   (int_of_float (p *. float_of_int (Array.length sorted))))
     in
     let throughput = float_of_int !ok /. wall in
-    let shed_rate = float_of_int !shed /. float_of_int total in
+    let mix =
+      List.map
+        (fun c -> (c, Option.value ~default:0 (Hashtbl.find_opt failures c)))
+        classes
+    in
+    let shed = List.assoc "overloaded" mix in
+    let shed_rate = float_of_int shed /. float_of_int total in
     Format.fprintf fmt
-      "  %dx offered (%8.1f rps) %-9s  ok %4d  shed %4d  lost %4d  thru \
-       %8.1f rps  p50 %8.0f us  p99 %8.0f us@."
-      mult offered tag !ok !shed !lost throughput (pct 0.50) (pct 0.99);
-    (mult, offered, total, !ok, !shed, !lost, throughput, pct 0.50, pct 0.99,
+      "  %dx offered (%8.1f rps) %-9s  ok %4d  %s  thru %8.1f rps  p50 %8.0f \
+       us  p99 %8.0f us@."
+      mult offered tag !ok
+      (String.concat " "
+         (List.map (fun (c, n) -> Printf.sprintf "%s %d" c n) mix))
+      throughput (pct 0.50) (pct 0.99);
+    (mult, offered, total, !ok, shed, mix, throughput, pct 0.50, pct 0.99,
      shed_rate)
   in
   (* Interleaved max-of-reps per mode: alternating unbatched/batched
@@ -986,20 +818,13 @@ let run_serve_load ~smoke =
      coalesced request.  Every reply is checked bit-identical to the
      local engine in both modes. *)
   let ca = 320 in
-  let cmodel = mk_model ca in
+  let cmodel = Kit.serve_model rng ~dim ~k ~a:ca in
   S.Registry.put registry ~name:"c" cmodel;
   let conns = 32 and cpts = 8 and cwindow = 800 in
   let creqs = if smoke then 12 else 40 in
   let cxs = Mat.init cpts dim (fun _ _ -> Cbmf_prob.Rng.gaussian rng) in
   let cstates = Array.init cpts (fun i -> i mod k) in
   let exp_m, exp_s = S.Engine.predict_batch cmodel ~states:cstates ~xs:cxs in
-  let bits_eq xs ys =
-    Array.length xs = Array.length ys
-    && Array.for_all2
-         (fun x y ->
-           Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-         xs ys
-  in
   let coalesce_run ~tag ~window =
     let server =
       S.Server.start
@@ -1033,7 +858,7 @@ let run_serve_load ~smoke =
                         ~xs:cxs
                     with
                     | Ok (rm, rs) ->
-                        if not (bits_eq rm exp_m && bits_eq rs exp_s) then begin
+                        if not (Kit.bits_eq rm exp_m && Kit.bits_eq rs exp_s) then begin
                           Mutex.lock lock;
                           identical := false;
                           Mutex.unlock lock
@@ -1068,139 +893,99 @@ let run_serve_load ~smoke =
     conns creqs cpts coalesce_unbatched coalesce_batched coalesce_speedup
     coalesce_identical;
   (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-  let oc = open_out "BENCH_serve_load.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"workers\": %d,\n\
-    \  \"queue_cap\": %d,\n\
-    \  \"batch\": %d,\n\
-    \  \"n_active\": %d,\n\
-    \  \"base_rate_rps\": %.1f,\n\
-    \  \"levels\": [\n"
-    workers queue_cap batch a base_rate;
-  List.iteri
-    (fun i
-         ( (mult, offered, sent, ok, shed, lost, thru, p50, p99, shed_rate),
-           unbatched_thru ) ->
-      Printf.fprintf oc
-        "    { \"offered_x\": %d, \"offered_rps\": %.1f, \"sent\": %d, \
-         \"ok\": %d, \"shed\": %d, \"lost\": %d, \"throughput_rps\": %.1f, \
-         \"unbatched_throughput_rps\": %.1f, \"batched_speedup\": %.4f, \
-         \"p50_us\": %.0f, \"p99_us\": %.0f, \"shed_rate\": %.4f }%s\n"
-        mult offered sent ok shed lost thru unbatched_thru
-        (thru /. Float.max unbatched_thru 1e-9)
-        p50 p99 shed_rate
-        (if i = 2 then "" else ","))
-    levels;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"coalesce\": {\n\
-    \    \"connections\": %d,\n\
-    \    \"requests_per_conn\": %d,\n\
-    \    \"points_per_request\": %d,\n\
-    \    \"n_active\": %d,\n\
-    \    \"window_us\": %d,\n\
-    \    \"unbatched_rps\": %.1f,\n\
-    \    \"batched_rps\": %.1f,\n\
-    \    \"speedup\": %.4f,\n\
-    \    \"bit_identical\": %b\n\
-    \  }\n\
-     }\n"
-    conns creqs cpts ca cwindow coalesce_unbatched coalesce_batched
-    coalesce_speedup coalesce_identical;
-  close_out oc;
-  Format.fprintf fmt "  [wrote BENCH_serve_load.json]@.";
+  let path = "BENCH_serve_load.json" in
+  Kit.write path
+    [ ("workers", Json.Int workers);
+      ("queue_cap", Json.Int queue_cap);
+      ("batch", Json.Int batch);
+      ("n_active", Json.Int a);
+      ("base_rate_rps", Json.Float base_rate);
+      ( "levels",
+        Json.List
+          (List.map
+             (fun ( (mult, offered, sent, ok, _, mix, thru, p50, p99, shed_rate),
+                    unbatched_thru ) ->
+               Json.Obj
+                 [ ("offered_x", Json.Int mult);
+                   ("offered_rps", Json.Float offered);
+                   ("sent", Json.Int sent);
+                   ("ok", Json.Int ok);
+                   ( "failures",
+                     Json.Obj (List.map (fun (c, n) -> (c, Json.Int n)) mix) );
+                   ("throughput_rps", Json.Float thru);
+                   ("unbatched_throughput_rps", Json.Float unbatched_thru);
+                   ( "batched_speedup",
+                     Json.Float (thru /. Float.max unbatched_thru 1e-9) );
+                   ("p50_us", Json.Float p50);
+                   ("p99_us", Json.Float p99);
+                   ("shed_rate", Json.Float shed_rate) ])
+             levels) );
+      ( "coalesce",
+        Json.Obj
+          [ ("connections", Json.Int conns);
+            ("requests_per_conn", Json.Int creqs);
+            ("points_per_request", Json.Int cpts);
+            ("n_active", Json.Int ca);
+            ("window_us", Json.Int cwindow);
+            ("unbatched_rps", Json.Float coalesce_unbatched);
+            ("batched_rps", Json.Float coalesce_batched);
+            ("speedup", Json.Float coalesce_speedup);
+            ("bit_identical", Json.Bool coalesce_identical) ] ) ];
   if smoke then begin
-    let ic = open_in "BENCH_serve_load.json" in
-    let body = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let has needle =
-      let nl = String.length needle and bl = String.length body in
-      let rec scan i =
-        if i + nl > bl then false
-        else if String.sub body i nl = needle then true
-        else scan (i + 1)
-      in
-      scan 0
-    in
-    let required =
-      [ "\"workers\""; "\"queue_cap\""; "\"base_rate_rps\""; "\"levels\"";
-        "\"offered_x\": 1"; "\"offered_x\": 2"; "\"offered_x\": 4";
-        "\"throughput_rps\""; "\"unbatched_throughput_rps\"";
-        "\"batched_speedup\""; "\"p50_us\""; "\"p99_us\""; "\"shed_rate\"";
-        "\"coalesce\""; "\"speedup\""; "\"bit_identical\": true" ]
-    in
-    let missing = List.filter (fun key -> not (has key)) required in
-    if missing <> [] then begin
-      Format.fprintf fmt "  SMOKE FAIL: missing %s@."
-        (String.concat ", " missing);
-      exit 1
-    end;
+    Kit.check path
+      ~required:
+        ([ "workers"; "queue_cap"; "base_rate_rps"; "levels"; "offered_x";
+           "failures"; "throughput_rps"; "unbatched_throughput_rps";
+           "batched_speedup"; "p50_us"; "p99_us"; "shed_rate"; "coalesce";
+           "speedup"; "bit_identical" ]
+        @ classes);
+    let mults = List.map (fun ((m, _, _, _, _, _, _, _, _, _), _) -> m) levels in
+    if mults <> [ 1; 2; 4 ] then
+      Kit.fail "levels %s, expected 1x/2x/4x"
+        (String.concat "/" (List.map string_of_int mults));
     let (_, _, _, ok4, shed4, _, thru4, _, p99_4, _), unbatched_thru4 =
       List.nth levels 2
     in
-    if shed4 = 0 then begin
-      Format.fprintf fmt
-        "  SMOKE FAIL: 4x offered load produced zero typed sheds@.";
-      exit 1
-    end;
-    if ok4 = 0 then begin
-      Format.fprintf fmt "  SMOKE FAIL: 4x offered load served nothing@.";
-      exit 1
-    end;
-    if p99_4 >= 5e6 then begin
-      Format.fprintf fmt
-        "  SMOKE FAIL: accepted-request p99 unbounded under overload \
-         (%.0f us)@."
-        p99_4;
-      exit 1
-    end;
-    if thru4 < unbatched_thru4 then begin
-      Format.fprintf fmt
-        "  SMOKE FAIL: batched throughput %.1f rps below unbatched %.1f rps \
-         at 4x offered load@."
+    if shed4 = 0 then Kit.fail "4x offered load produced zero typed sheds";
+    if ok4 = 0 then Kit.fail "4x offered load served nothing";
+    if p99_4 >= 5e6 then
+      Kit.fail "accepted-request p99 unbounded under overload (%.0f us)" p99_4;
+    if thru4 < unbatched_thru4 then
+      Kit.fail
+        "batched throughput %.1f rps below unbatched %.1f rps at 4x offered load"
         thru4 unbatched_thru4;
-      exit 1
-    end;
-    if not coalesce_identical then begin
-      Format.fprintf fmt
-        "  SMOKE FAIL: coalesced replies not bit-identical to the local \
-         engine@.";
-      exit 1
-    end;
-    if coalesce_speedup < 1.0 then begin
-      Format.fprintf fmt
-        "  SMOKE FAIL: coalesce speedup %.2fx below 1x@." coalesce_speedup;
-      exit 1
-    end;
+    if not coalesce_identical then
+      Kit.fail "coalesced replies not bit-identical to the local engine";
+    if coalesce_speedup < 1.0 then
+      Kit.fail "coalesce speedup %.2fx below 1x" coalesce_speedup;
     Format.fprintf fmt
       "  smoke OK: schema valid, typed sheds at 4x with bounded p99, \
        batched >= unbatched, coalesce bit-identical (%.2fx)@."
       coalesce_speedup
   end
 
-(* --- Front-end before/after kernels -------------------------------- *)
+(* --- Front-end kernels ---------------------------------------------- *)
 
-(* Times the PR's front-end hot paths against the frozen pre-PR
-   implementations ([Legacy.Frontend], per-frequency MNA rebuilds),
-   single-core, and writes BENCH_frontend.json: the Algorithm-1 CV
-   grid with shared precomputation vs the per-cell re-materializing
-   loop, incremental S-OMP vs per-step QR refits, split-stamp
-   [Mna.ac_sweep] vs per-frequency [Mna.ac], and the end-to-end fit
-   through the legacy vs current initializer.  Every kernel records a
-   parity flag (identical supports / bit-identical curves and fitted
-   coefficients); the run fails hard if any flag is false.  [smoke]
-   swaps the LNA workload for a tiny synthetic instance, then re-reads
-   the JSON and verifies the schema — this is part of the
-   [bench-smoke] dune alias under [dune runtest]. *)
+(* Times the front-end hot paths single-core and writes
+   BENCH_frontend.json: the Algorithm-1 CV grid ([Init.run]),
+   incremental S-OMP against its per-step QR oracle
+   ([Somp.fit_naive]), split-stamp [Mna.ac_sweep] against per-frequency
+   [Mna.ac] ([Lna.gain_curve_naive]), and the end-to-end fit.  The
+   S-OMP and sweep parity flags (identical supports, coefficients to
+   1e-8, bit-identical curves) fail the run if false; [Init.run]'s
+   bit-identity to the sequential grid loop is checked in
+   test_frontend_oracle, and the speedups over the pre-optimization
+   initializer are recorded in the project history (CHANGES.md).
+   [smoke] swaps the LNA workload for a tiny synthetic instance and
+   validates the schema — this is part of the [bench-smoke] dune alias
+   under [dune runtest]. *)
 let run_frontend ~smoke =
   section
     (if smoke then "frontend (smoke: schema + oracle parity)"
-     else "frontend (before/after front-end kernels, LNA workload)");
+     else "frontend (front-end kernels vs oracles, LNA workload)");
   let module Pool = Cbmf_parallel.Pool in
   let open Cbmf_linalg in
   Pool.set_default_size 1;
-  let hash_floats = Cbmf_testkit.Seeded.hash_floats in
   let workload, d, init_config, somp_terms =
     if smoke then begin
       let rng = Cbmf_prob.Rng.create 7 in
@@ -1257,47 +1042,20 @@ let run_frontend ~smoke =
       ("lna", std, config, 8)
     end
   in
-  let reps = if smoke then 1 else 3 in
-  let time_n f =
-    f ();
-    (* warm *)
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
-  (* 1. Algorithm-1 CV grid: legacy per-cell loop vs shared precompute. *)
-  let init_before_r = Legacy.Frontend.init_run ~config:init_config d in
-  let init_after_r = Cbmf_core.Init.run ~config:init_config d in
-  let init_identical =
-    init_before_r.Cbmf_core.Init.support = init_after_r.Cbmf_core.Init.support
-    && init_before_r.Cbmf_core.Init.theta = init_after_r.Cbmf_core.Init.theta
-    && Int64.equal
-         (Int64.bits_of_float init_before_r.Cbmf_core.Init.r0)
-         (Int64.bits_of_float init_after_r.Cbmf_core.Init.r0)
-    && Int64.equal
-         (Int64.bits_of_float init_before_r.Cbmf_core.Init.sigma0)
-         (Int64.bits_of_float init_after_r.Cbmf_core.Init.sigma0)
-    && Int64.equal
-         (Int64.bits_of_float init_before_r.Cbmf_core.Init.cv_error)
-         (Int64.bits_of_float init_after_r.Cbmf_core.Init.cv_error)
-  in
-  let init_before =
-    time_n (fun () -> ignore (Legacy.Frontend.init_run ~config:init_config d))
-  in
-  let init_after =
-    time_n (fun () -> ignore (Cbmf_core.Init.run ~config:init_config d))
+  let reps = if smoke then 1 else 5 in
+  (* 1. Algorithm-1 CV grid. *)
+  let init_t =
+    Kit.time ~reps (fun () -> ignore (Cbmf_core.Init.run ~config:init_config d))
   in
   (* 2. S-OMP: incremental bordered-Cholesky refits vs per-step QR. *)
-  let somp_before_r = Legacy.Frontend.somp_fit d ~n_terms:somp_terms in
-  let somp_after_r = Cbmf_model.Somp.fit d ~n_terms:somp_terms in
+  let somp_naive_r = Cbmf_model.Somp.fit_naive d ~n_terms:somp_terms in
+  let somp_r = Cbmf_model.Somp.fit d ~n_terms:somp_terms in
   let somp_support_identical =
-    somp_before_r.Cbmf_model.Somp.support = somp_after_r.Cbmf_model.Somp.support
+    somp_naive_r.Cbmf_model.Somp.support = somp_r.Cbmf_model.Somp.support
   in
   let somp_coeffs_close =
-    let a = somp_before_r.Cbmf_model.Somp.coeffs
-    and b = somp_after_r.Cbmf_model.Somp.coeffs in
+    let a = somp_naive_r.Cbmf_model.Somp.coeffs
+    and b = somp_r.Cbmf_model.Somp.coeffs in
     let maxd = ref 0.0 and maxa = ref 0.0 in
     Array.iteri
       (fun i x ->
@@ -1306,11 +1064,12 @@ let run_frontend ~smoke =
       a.Mat.data;
     !maxd <= 1e-8 *. (1.0 +. !maxa)
   in
-  let somp_before =
-    time_n (fun () -> ignore (Legacy.Frontend.somp_fit d ~n_terms:somp_terms))
+  let somp_naive =
+    Kit.time ~reps (fun () ->
+        ignore (Cbmf_model.Somp.fit_naive d ~n_terms:somp_terms))
   in
-  let somp_after =
-    time_n (fun () -> ignore (Cbmf_model.Somp.fit d ~n_terms:somp_terms))
+  let somp_inc =
+    Kit.time ~reps (fun () -> ignore (Cbmf_model.Somp.fit d ~n_terms:somp_terms))
   in
   (* 3. MNA frequency sweep: split-stamp reassembly vs full per-ω
      rebuild of the LNA small-signal netlist. *)
@@ -1339,132 +1098,71 @@ let run_frontend ~smoke =
         Cbmf_circuit.Lna.gain_curve tb ~state:states.(i) xs.(i) ~freqs)
   in
   let sweep_bit_identical =
-    let cb = sweep_naive () and ca = sweep_fast () in
-    Array.for_all2
-      (fun a b ->
-        Array.for_all2
-          (fun x y ->
-            Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-          a b)
-      cb ca
+    Array.for_all2 Kit.bits_eq (sweep_naive ()) (sweep_fast ())
   in
-  let sweep_before = time_n (fun () -> ignore (sweep_naive ())) in
-  let sweep_after = time_n (fun () -> ignore (sweep_fast ())) in
-  (* 4. End-to-end fit through the legacy vs current initializer. *)
+  let sweep_naive_t = Kit.time ~reps (fun () -> ignore (sweep_naive ())) in
+  let sweep_split_t = Kit.time ~reps (fun () -> ignore (sweep_fast ())) in
+  (* 4. End-to-end fit. *)
   let em_config =
     if smoke then { Cbmf_core.Em.default_config with max_iter = 3; tol = 1e-3 }
     else Cbmf_core.Cbmf.fast_config.Cbmf_core.Cbmf.em
   in
   let fit_config = { Cbmf_core.Cbmf.init = init_config; em = em_config } in
-  let fit_legacy () =
-    (* [Cbmf.fit] with the frozen initializer: same standardization,
-       same σ0 floor, same EM — only the CV grid differs. *)
-    let transform, std = Cbmf_core.Standardize.fit d in
-    let init = Legacy.Frontend.init_run ~config:init_config std in
-    let em_config =
-      {
-        em_config with
-        Cbmf_core.Em.min_sigma0 =
-          Float.max em_config.Cbmf_core.Em.min_sigma0
-            (0.9 *. init.Cbmf_core.Init.cv_error);
-      }
-    in
-    let _, post, _ =
-      Cbmf_core.Em.run ~config:em_config std init.Cbmf_core.Init.prior
-    in
-    Cbmf_core.Standardize.unstandardize_coeffs transform
-      (Cbmf_core.Posterior.coefficients post)
-  in
-  let fit_new () = (Cbmf_core.Cbmf.fit ~config:fit_config d).Cbmf_core.Cbmf.coeffs in
-  let e2e_hash_before = hash_floats (fit_legacy ()).Mat.data in
-  let e2e_hash_after = hash_floats (fit_new ()).Mat.data in
-  let e2e_coeffs_identical = Int64.equal e2e_hash_before e2e_hash_after in
-  let e2e_before = time_n (fun () -> ignore (fit_legacy ())) in
-  let e2e_after = time_n (fun () -> ignore (fit_new ())) in
+  let fit () = (Cbmf_core.Cbmf.fit ~config:fit_config d).Cbmf_core.Cbmf.coeffs in
+  let model_hash = Cbmf_testkit.Seeded.hash_floats (fit ()).Mat.data in
+  let fit_t = Kit.time ~reps (fun () -> ignore (fit ())) in
   Pool.set_default_size (Pool.env_domains ());
-  let kernels =
-    [ ("init-cv-grid", init_before, init_after);
-      ("somp-fit", somp_before, somp_after);
-      ("ac-sweep", sweep_before, sweep_after);
-      ("fit-e2e", e2e_before, e2e_after) ]
+  let speedup naive fast = naive.Kit.median /. fast.Kit.median in
+  let pairs =
+    [ ("somp-fit", ("naive", somp_naive), ("incremental", somp_inc));
+      ("ac-sweep", ("naive", sweep_naive_t), ("split", sweep_split_t)) ]
   in
   List.iter
-    (fun (name, before, after) ->
-      Format.fprintf fmt "  %-18s before %10.4f s   after %10.4f s   %6.2fx@."
-        name before after (before /. after))
-    kernels;
+    (fun (name, (_, naive), (_, fast)) ->
+      Format.fprintf fmt "  %-18s naive %10.4f s   fast %10.4f s   %6.2fx@."
+        name naive.Kit.median fast.Kit.median (speedup naive fast))
+    pairs;
+  let timed = [ ("init-cv-grid", init_t); ("fit-e2e", fit_t) ] in
+  List.iter
+    (fun (name, t) ->
+      Format.fprintf fmt "  %-18s median %10.4f s   mad %10.4f s@." name
+        t.Kit.median t.Kit.mad)
+    timed;
   let parity =
-    [ ("init_identical", init_identical);
-      ("somp_support_identical", somp_support_identical);
+    [ ("somp_support_identical", somp_support_identical);
       ("somp_coeffs_close", somp_coeffs_close);
-      ("sweep_bit_identical", sweep_bit_identical);
-      ("e2e_coeffs_identical", e2e_coeffs_identical) ]
+      ("sweep_bit_identical", sweep_bit_identical) ]
   in
   List.iter
     (fun (name, ok) -> Format.fprintf fmt "  parity %-24s %b@." name ok)
     parity;
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"workload\": %S,\n" workload;
-  Printf.bprintf buf "  \"model_hash\": \"%Lx\",\n" e2e_hash_after;
-  Buffer.add_string buf "  \"kernels\": [\n";
-  List.iteri
-    (fun i (name, before, after) ->
-      Printf.bprintf buf
-        "    {\"name\": %S, \"seconds_before\": %.6f, \"seconds_after\": \
-         %.6f, \"speedup\": %.4f}%s\n"
-        name before after (before /. after)
-        (if i = List.length kernels - 1 then "" else ","))
-    kernels;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"parity\": {\n";
-  List.iteri
-    (fun i (name, ok) ->
-      Printf.bprintf buf "    \"%s\": %b%s\n" name ok
-        (if i = List.length parity - 1 then "" else ","))
-    parity;
-  Buffer.add_string buf "  },\n";
-  Printf.bprintf buf "  \"speedup_init_cv\": %.4f,\n" (init_before /. init_after);
-  Printf.bprintf buf "  \"speedup_ac_sweep\": %.4f\n" (sweep_before /. sweep_after);
-  Buffer.add_string buf "}\n";
-  let oc = open_out "BENCH_frontend.json" in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Format.fprintf fmt "  [wrote BENCH_frontend.json]@.";
-  let bad = List.filter (fun (_, ok) -> not ok) parity in
-  if bad <> [] then begin
-    Format.fprintf fmt "  FRONTEND FAIL: parity broken for %s@."
-      (String.concat ", " (List.map fst bad));
-    exit 1
-  end;
+  let path = "BENCH_frontend.json" in
+  Kit.write path
+    [ ("workload", Json.String workload);
+      ("model_hash", Json.String (Printf.sprintf "%Lx" model_hash));
+      ("reps", Json.Int reps);
+      ( "kernels",
+        Json.Obj
+          (List.map (fun (name, t) -> (name, Kit.timing_json t)) timed
+          @ List.map
+              (fun (name, (nn, naive), (fn, fast)) ->
+                ( name,
+                  Json.Obj
+                    [ (nn, Kit.timing_json naive);
+                      (fn, Kit.timing_json fast);
+                      ("speedup", Json.Float (speedup naive fast)) ] ))
+              pairs) );
+      ("parity", Json.Obj (List.map (fun (n, ok) -> (n, Json.Bool ok)) parity)) ];
+  (match List.filter (fun (_, ok) -> not ok) parity with
+  | [] -> ()
+  | bad -> Kit.fail "parity broken for %s" (String.concat ", " (List.map fst bad)));
   if smoke then begin
-    let ic = open_in "BENCH_frontend.json" in
-    let body = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let has needle =
-      let nl = String.length needle and bl = String.length body in
-      let rec scan i =
-        if i + nl > bl then false
-        else if String.sub body i nl = needle then true
-        else scan (i + 1)
-      in
-      scan 0
-    in
-    let required =
-      [ "\"workload\""; "\"model_hash\""; "\"kernels\"";
-        "\"init-cv-grid\""; "\"somp-fit\""; "\"ac-sweep\""; "\"fit-e2e\"";
-        "\"seconds_before\""; "\"seconds_after\""; "\"speedup\"";
-        "\"parity\""; "\"init_identical\": true";
-        "\"somp_support_identical\": true"; "\"somp_coeffs_close\": true";
-        "\"sweep_bit_identical\": true"; "\"e2e_coeffs_identical\": true";
-        "\"speedup_init_cv\""; "\"speedup_ac_sweep\"" ]
-    in
-    let missing = List.filter (fun key -> not (has key)) required in
-    if missing <> [] then begin
-      Format.fprintf fmt "  SMOKE FAIL: missing %s@."
-        (String.concat ", " missing);
-      exit 1
-    end;
+    Kit.check path
+      ~required:
+        ([ "workload"; "model_hash"; "kernels"; "init-cv-grid"; "somp-fit";
+           "ac-sweep"; "fit-e2e"; "naive"; "incremental"; "split"; "median_s";
+           "mad_s"; "speedup"; "parity" ]
+        @ List.map fst parity);
     Format.fprintf fmt "  smoke OK: schema valid, all parity flags true@."
   end
 
@@ -1476,16 +1174,19 @@ let run_frontend ~smoke =
    time, a budget-sized front-end fit, the structured posterior on the
    true support with the solver path Auto actually took (the
    dual/primal crossover moves through the grid as NK crosses aK), and
-   batched serving throughput against the oracle-exact snapshot.  A
+   batched serving throughput against the oracle-exact snapshot.  The
+   posterior and predict columns are the median of repeated runs; the
+   generation and fit columns run once, since a full-grid fit cell
+   takes minutes and a warm-up call would double the run.  A
    small ground-truth recovery comparison (C-BMF vs the uncorrelated
-   ablation at rho = 0.9, low budgets) rides along.  [quick] — smoke
-   mode or CBMF_BENCH_QUICK=1 — shrinks the grid to seconds; smoke
-   additionally re-reads the JSON and fails hard unless the schema
-   holds and every cell records a dual/primal path. *)
-let run_synth ~smoke =
+   ablation at rho = 0.9, low budgets) rides along.  [quick] (implied
+   by [smoke]) shrinks the grid to seconds; smoke additionally
+   validates the schema and fails hard unless both posterior paths
+   appear among the cells. *)
+let run_synth ~smoke ~quick =
   let module Synthetic = Cbmf_circuit.Synthetic in
   let module Pool = Cbmf_parallel.Pool in
-  let quick = smoke || Sys.getenv_opt "CBMF_BENCH_QUICK" = Some "1" in
+  let quick = smoke || quick in
   section
     (if quick then "synth (quick: reduced synthetic scaling grid)"
      else "synth (synthetic scaling matrix: K x d, path per cell)");
@@ -1501,6 +1202,7 @@ let run_synth ~smoke =
         (256, 1_000, 10); (256, 10_000, 6); (256, 100_000, 4) ]
   in
   let now () = Unix.gettimeofday () in
+  let reps = if quick then 3 else 5 in
   let run_cell (k, d, n_per_state) =
     let spec =
       { Synthetic.k; m = d + 1; d; active_per_state = active; rho;
@@ -1510,9 +1212,11 @@ let run_synth ~smoke =
     let truth = Synthetic.truth spec in
     let train = Synthetic.dataset truth ~n_per_state in
     let gen_s = now () -. t0 in
-    let t0 = now () in
-    let path = Recovery.posterior_path truth train in
-    let posterior_s = now () -. t0 in
+    let path = ref "" in
+    let posterior_t =
+      Kit.time ~reps (fun () -> path := Recovery.posterior_path truth train)
+    in
+    let path = !path in
     let fit_config =
       {
         Cbmf_core.Cbmf.init =
@@ -1528,10 +1232,12 @@ let run_synth ~smoke =
     in
     (* The front-end fit cost grows superlinearly in K (the CV grid's
        Bayesian greedy solves couple all states), so the budget-sized
-       fit is timed only where it finishes in minutes; -1 marks a
-       skipped cell.  The posterior/path and serving columns — the
-       scaling claims under test — are measured at every cell. *)
-    let do_fit = k <= 32 || k * d <= 3_000_000 in
+       fit is timed only where it finishes in minutes and in a few GB
+       (at d=10⁴ the K=128 fit needs over 6 GB and the K=256 one over
+       7.8 GB); -1 marks a skipped cell.  The posterior/path and
+       serving columns — the scaling claims under test — are measured
+       at every cell. *)
+    let do_fit = k <= 32 || k * d <= 300_000 in
     let fit_s =
       if do_fit then begin
         let t0 = now () in
@@ -1543,29 +1249,25 @@ let run_synth ~smoke =
     let n_batch = Int.max 256 (1_000_000 / d) in
     let model = Cbmf_serve.Model.of_synthetic truth in
     let xs, states = Synthetic.batch_inputs truth ~salt:0 ~n:n_batch in
-    let t0 = now () in
     let means, _ = Cbmf_serve.Engine.predict_batch model ~states ~xs in
-    let predict_s = now () -. t0 in
-    if not (Array.for_all Float.is_finite means) then begin
-      Format.fprintf fmt "  SYNTH FAIL: non-finite predictions at K=%d d=%d@."
-        k d;
-      exit 1
-    end;
-    if path <> "dual" && path <> "primal" then begin
-      Format.fprintf fmt "  SYNTH FAIL: bad posterior path %S at K=%d d=%d@."
-        path k d;
-      exit 1
-    end;
-    let pts_per_s = float_of_int n_batch /. Float.max predict_s 1e-9 in
+    if not (Array.for_all Float.is_finite means) then
+      Kit.fail "non-finite predictions at K=%d d=%d" k d;
+    if path <> "dual" && path <> "primal" then
+      Kit.fail "bad posterior path %S at K=%d d=%d" path k d;
+    let predict_t =
+      Kit.time ~reps (fun () ->
+          ignore (Cbmf_serve.Engine.predict_batch model ~states ~xs))
+    in
+    let pts_per_s = float_of_int n_batch /. Float.max predict_t.Kit.median 1e-9 in
     let fit_str =
       if fit_s < 0.0 then "   skip" else Printf.sprintf "%7.2f" fit_s
     in
     Format.fprintf fmt
       "  K=%-4d d=%-7d n/st=%-3d gen %7.2f s   fit %s s   posterior \
        %8.4f s (%-6s)   predict %10.0f pts/s@."
-      k d n_per_state gen_s fit_str posterior_s path pts_per_s;
-    (k, d, spec.Synthetic.m, n_per_state, gen_s, fit_s, posterior_s, path,
-     pts_per_s)
+      k d n_per_state gen_s fit_str posterior_t.Kit.median path pts_per_s;
+    (k, d, spec.Synthetic.m, n_per_state, gen_s, fit_s, posterior_t, path,
+     predict_t, pts_per_s)
   in
   let cells = List.map run_cell grid in
   (* Ground-truth recovery: correlated fit vs the uncorrelated ablation
@@ -1599,70 +1301,47 @@ let run_synth ~smoke =
     (String.concat "," (List.map string_of_int (Array.to_list budgets)))
     f1_cbmf f1_unc;
   Pool.set_default_size (Pool.env_domains ());
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"quick\": %b,\n" quick;
-  Printf.bprintf buf "  \"active_per_state\": %d,\n" active;
-  Printf.bprintf buf "  \"rho\": %.2f,\n" rho;
-  Buffer.add_string buf "  \"cells\": [\n";
-  List.iteri
-    (fun i (k, d, m, n, gen_s, fit_s, posterior_s, path, pts) ->
-      Printf.bprintf buf
-        "    {\"k\": %d, \"d\": %d, \"m\": %d, \"n_per_state\": %d, \
-         \"gen_s\": %.4f, \"fit_s\": %.4f, \"posterior_s\": %.6f, \
-         \"posterior_path\": %S, \"predict_pts_per_s\": %.1f}%s\n"
-        k d m n gen_s fit_s posterior_s path pts
-        (if i = List.length cells - 1 then "" else ","))
-    cells;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"recovery\": {\n";
-  Printf.bprintf buf "    \"rho\": %.2f,\n" rho;
-  Printf.bprintf buf "    \"budgets\": [%s],\n"
-    (String.concat ", " (List.map string_of_int (Array.to_list budgets)));
-  Printf.bprintf buf "    \"f1_cbmf\": %.4f,\n" f1_cbmf;
-  Printf.bprintf buf "    \"f1_uncorrelated\": %.4f,\n" f1_unc;
-  Printf.bprintf buf "    \"f1_gap\": %.4f\n" (f1_cbmf -. f1_unc);
-  Buffer.add_string buf "  }\n";
-  Buffer.add_string buf "}\n";
-  let oc = open_out "BENCH_synthetic.json" in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Format.fprintf fmt "  [wrote BENCH_synthetic.json]@.";
+  let path = "BENCH_synthetic.json" in
+  Kit.write path
+    [ ("quick", Json.Bool quick);
+      ("reps", Json.Int reps);
+      ("active_per_state", Json.Int active);
+      ("rho", Json.Float rho);
+      ( "cells",
+        Json.List
+          (List.map
+             (fun (k, d, m, n, gen_s, fit_s, posterior_t, path, predict_t, pts) ->
+               Json.Obj
+                 [ ("k", Json.Int k);
+                   ("d", Json.Int d);
+                   ("m", Json.Int m);
+                   ("n_per_state", Json.Int n);
+                   ("gen_s", Json.Float gen_s);
+                   ("fit_s", Json.Float fit_s);
+                   ("posterior", Kit.timing_json posterior_t);
+                   ("posterior_path", Json.String path);
+                   ("predict", Kit.timing_json predict_t);
+                   ("predict_pts_per_s", Json.Float pts) ])
+             cells) );
+      ( "recovery",
+        Json.Obj
+          [ ("rho", Json.Float rho);
+            ( "budgets",
+              Json.List (List.map (fun b -> Json.Int b) (Array.to_list budgets)) );
+            ("f1_cbmf", Json.Float f1_cbmf);
+            ("f1_uncorrelated", Json.Float f1_unc);
+            ("f1_gap", Json.Float (f1_cbmf -. f1_unc)) ] ) ];
   if smoke then begin
-    let ic = open_in "BENCH_synthetic.json" in
-    let body = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let has needle =
-      let nl = String.length needle and bl = String.length body in
-      let rec scan i =
-        if i + nl > bl then false
-        else if String.sub body i nl = needle then true
-        else scan (i + 1)
-      in
-      scan 0
-    in
-    let required =
-      [ "\"quick\""; "\"active_per_state\""; "\"rho\""; "\"cells\"";
-        "\"k\""; "\"d\""; "\"m\""; "\"n_per_state\""; "\"gen_s\"";
-        "\"fit_s\""; "\"posterior_s\""; "\"posterior_path\"";
-        "\"predict_pts_per_s\""; "\"recovery\""; "\"budgets\"";
-        "\"f1_cbmf\""; "\"f1_uncorrelated\""; "\"f1_gap\"" ]
-    in
-    let missing = List.filter (fun key -> not (has key)) required in
-    if missing <> [] then begin
-      Format.fprintf fmt "  SMOKE FAIL: missing %s@."
-        (String.concat ", " missing);
-      exit 1
-    end;
+    Kit.check path
+      ~required:
+        [ "quick"; "active_per_state"; "rho"; "cells"; "k"; "d"; "m";
+          "n_per_state"; "gen_s"; "fit_s"; "posterior"; "median_s"; "mad_s";
+          "posterior_path"; "predict"; "predict_pts_per_s"; "recovery";
+          "budgets"; "f1_cbmf"; "f1_uncorrelated"; "f1_gap" ];
     (* The quick grid is sized to exercise both solver paths. *)
-    if not (has "\"posterior_path\": \"dual\"") then begin
-      Format.fprintf fmt "  SMOKE FAIL: no dual-path cell@.";
-      exit 1
-    end;
-    if not (has "\"posterior_path\": \"primal\"") then begin
-      Format.fprintf fmt "  SMOKE FAIL: no primal-path cell@.";
-      exit 1
-    end;
+    let paths = List.map (fun (_, _, _, _, _, _, _, p, _, _) -> p) cells in
+    if not (List.mem "dual" paths) then Kit.fail "no dual-path cell";
+    if not (List.mem "primal" paths) then Kit.fail "no primal-path cell";
     Format.fprintf fmt "  smoke OK: schema valid, both paths present@."
   end
 
@@ -1675,10 +1354,10 @@ let run_synth ~smoke =
    speedup, and the mu/NLML parity of the appended state against both
    a fresh updater and the [`Primal] posterior on the grown dataset;
    plus the acquisition loop's FNV hash at 1/2/4 domains.  [smoke]
-   shrinks the sizes, re-reads the JSON, validates the schema and
-   fails hard unless incremental < refit, parity <= 1e-8 and the loop
-   hashes match across domain counts.  The [active-bench-smoke] dune
-   alias runs this under [dune runtest]. *)
+   shrinks the sizes, validates the schema and fails hard unless
+   incremental < refit, parity <= 1e-8 and the loop hashes match
+   across domain counts.  Costs are the min of reps.  The
+   [bench-smoke] dune alias runs this under [dune runtest]. *)
 let run_active ~smoke =
   section
     (if smoke then "active (smoke: update cost + parity + loop hash)"
@@ -1691,98 +1370,94 @@ let run_active ~smoke =
   let open Cbmf_linalg in
   let open Cbmf_model in
   let reps = if smoke then 3 else 5 in
-  let time_min f =
-    f ();
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
   let cells = if smoke then [ (8, 21, 10) ] else [ (32, 41, 20); (64, 41, 20) ] in
-  let buf = Buffer.create 4096 in
-  Printf.bprintf buf "{\n  \"smoke\": %b,\n  \"cells\": [\n" smoke;
   let n_base = 10 and extra = 4 in
-  List.iteri
-    (fun ci (k, m, d) ->
-      let spec =
-        { Synthetic.default_spec with
-          Synthetic.k; m; d;
-          active_per_state = 4;
-          noise_sigma = 0.05;
-          seed = 3 + ci }
-      in
-      let truth = Synthetic.truth spec in
-      let full = Synthetic.dataset truth ~n_per_state:(n_base + extra) in
-      let base = Dataset.truncate_samples full ~n:n_base in
-      let active = Array.init m Fun.id in
-      let prior =
-        Cbmf_core.Prior.create ~lambda:(Array.make m 1.0)
-          ~r:(Cbmf_core.Prior.r_of_r0 ~n_states:k ~r0:0.5)
-          ~sigma0:0.1
-      in
-      (* full refit = fresh aK x aK assembly + factorization *)
-      let refit_s = time_min (fun () -> ignore (Update.create base prior ~active)) in
-      (* per-sample append: k rank-one updates per round, averaged *)
-      let append_rounds = extra in
-      let append_s =
-        let upd = ref (Update.create base prior ~active) in
-        let t =
-          time_min (fun () ->
-              upd := Update.create base prior ~active;
-              for i = n_base to n_base + append_rounds - 1 do
-                for s = 0 to k - 1 do
-                  Update.append !upd ~state:s
-                    ~row:(Mat.row (Dataset.state_design full s) i)
-                    ~y:(Vec.get (Dataset.state_response full s) i)
-                done
-              done)
+  let results =
+    List.mapi
+      (fun ci (k, m, d) ->
+        let spec =
+          { Synthetic.default_spec with
+            Synthetic.k; m; d;
+            active_per_state = 4;
+            noise_sigma = 0.05;
+            seed = 3 + ci }
         in
-        (t -. refit_s) /. float_of_int (append_rounds * k)
-      in
-      (* parity of the appended state on the grown dataset *)
-      let upd = Update.create base prior ~active in
-      for i = n_base to n_base + extra - 1 do
-        for s = 0 to k - 1 do
-          Update.append upd ~state:s
-            ~row:(Mat.row (Dataset.state_design full s) i)
-            ~y:(Vec.get (Dataset.state_response full s) i)
-        done
-      done;
-      let reference =
-        Cbmf_core.Posterior.compute ~need_sigma:false ~path:`Primal full prior
-          ~active
-      in
-      let scale = Mat.max_abs reference.Cbmf_core.Posterior.mu in
-      let parity_mu =
-        Mat.max_abs (Mat.sub reference.Cbmf_core.Posterior.mu (Update.mean upd))
-        /. (1.0 +. scale)
-      in
-      let parity_nlml =
-        abs_float (reference.Cbmf_core.Posterior.nlml -. Update.nlml upd)
-        /. (1.0 +. abs_float reference.Cbmf_core.Posterior.nlml)
-      in
-      let parity_ok = parity_mu <= 1e-8 && parity_nlml <= 1e-8 in
-      let speedup = refit_s /. Float.max append_s 1e-12 in
-      Format.fprintf fmt
-        "  k=%-3d m=%-3d aK=%-5d refit %8.2f ms  append %8.4f ms/sample  \
-         speedup %7.1fx  parity(mu %.1e, nlml %.1e) %s@."
-        k m (m * k) (1e3 *. refit_s) (1e3 *. append_s) speedup parity_mu
-        parity_nlml
-        (if parity_ok then "ok" else "FAIL");
-      Printf.bprintf buf
-        "    { \"k\": %d, \"m\": %d, \"a\": %d, \"n_base\": %d, \"refit_s\": \
-         %.6f, \"append_s\": %.8f, \"speedup\": %.1f, \"incremental_faster\": \
-         %b, \"parity_mu\": %.3e, \"parity_nlml\": %.3e, \"parity_ok\": %b }%s\n"
-        k m m n_base refit_s append_s speedup
-        (append_s < refit_s)
-        parity_mu parity_nlml parity_ok
-        (if ci = List.length cells - 1 then "" else ","))
-    cells;
-  Buffer.add_string buf "  ],\n";
+        let truth = Synthetic.truth spec in
+        let full = Synthetic.dataset truth ~n_per_state:(n_base + extra) in
+        let base = Dataset.truncate_samples full ~n:n_base in
+        let active = Array.init m Fun.id in
+        let prior =
+          Cbmf_core.Prior.create ~lambda:(Array.make m 1.0)
+            ~r:(Cbmf_core.Prior.r_of_r0 ~n_states:k ~r0:0.5)
+            ~sigma0:0.1
+        in
+        (* full refit = fresh aK x aK assembly + factorization *)
+        let refit_s =
+          (Kit.time ~reps (fun () -> ignore (Update.create base prior ~active))).Kit.min
+        in
+        (* per-sample append: k rank-one updates per round, averaged *)
+        let append_rounds = extra in
+        let append_s =
+          let upd = ref (Update.create base prior ~active) in
+          let t =
+            Kit.time ~reps (fun () ->
+                upd := Update.create base prior ~active;
+                for i = n_base to n_base + append_rounds - 1 do
+                  for s = 0 to k - 1 do
+                    Update.append !upd ~state:s
+                      ~row:(Mat.row (Dataset.state_design full s) i)
+                      ~y:(Vec.get (Dataset.state_response full s) i)
+                  done
+                done)
+          in
+          (t.Kit.min -. refit_s) /. float_of_int (append_rounds * k)
+        in
+        (* parity of the appended state on the grown dataset *)
+        let upd = Update.create base prior ~active in
+        for i = n_base to n_base + extra - 1 do
+          for s = 0 to k - 1 do
+            Update.append upd ~state:s
+              ~row:(Mat.row (Dataset.state_design full s) i)
+              ~y:(Vec.get (Dataset.state_response full s) i)
+          done
+        done;
+        let reference =
+          Cbmf_core.Posterior.compute ~need_sigma:false ~path:`Primal full prior
+            ~active
+        in
+        let scale = Mat.max_abs reference.Cbmf_core.Posterior.mu in
+        let parity_mu =
+          Mat.max_abs (Mat.sub reference.Cbmf_core.Posterior.mu (Update.mean upd))
+          /. (1.0 +. scale)
+        in
+        let parity_nlml =
+          abs_float (reference.Cbmf_core.Posterior.nlml -. Update.nlml upd)
+          /. (1.0 +. abs_float reference.Cbmf_core.Posterior.nlml)
+        in
+        let parity_ok = parity_mu <= 1e-8 && parity_nlml <= 1e-8 in
+        let speedup = refit_s /. Float.max append_s 1e-12 in
+        Format.fprintf fmt
+          "  k=%-3d m=%-3d aK=%-5d refit %8.2f ms  append %8.4f ms/sample  \
+           speedup %7.1fx  parity(mu %.1e, nlml %.1e) %s@."
+          k m (m * k) (1e3 *. refit_s) (1e3 *. append_s) speedup parity_mu
+          parity_nlml
+          (if parity_ok then "ok" else "FAIL");
+        let incremental_faster = append_s < refit_s in
+        ( (k, incremental_faster, parity_ok),
+          Json.Obj
+            [ ("k", Json.Int k);
+              ("m", Json.Int m);
+              ("a", Json.Int m);
+              ("n_base", Json.Int n_base);
+              ("refit_s", Json.Float refit_s);
+              ("append_s", Json.Float append_s);
+              ("speedup", Json.Float speedup);
+              ("incremental_faster", Json.Bool incremental_faster);
+              ("parity_mu", Json.Float parity_mu);
+              ("parity_nlml", Json.Float parity_nlml);
+              ("parity_ok", Json.Bool parity_ok) ] ))
+      cells
+  in
   (* acquisition-loop hash across domain counts *)
   let loop_spec =
     { Synthetic.default_spec with
@@ -1833,45 +1508,35 @@ let run_active ~smoke =
   let invariant = List.for_all (fun (_, h) -> Int64.equal h h1) hashes in
   Format.fprintf fmt "  loop hash at 1/2/4 domains: %s@."
     (if invariant then "bit-identical" else "MISMATCH");
-  Printf.bprintf buf "  \"loop\": { \"k\": %d, \"m\": %d, \"rounds\": %d, %s, \
-                      \"domain_invariant\": %b }\n"
-    loop_spec.Synthetic.k loop_spec.Synthetic.m loop_config.Loop.rounds
-    (String.concat ", "
-       (List.map
-          (fun (n, h) -> Printf.sprintf "\"hash_%d\": \"%Lx\"" n h)
-          hashes))
-    invariant;
-  Buffer.add_string buf "}\n";
-  let oc = open_out "BENCH_active.json" in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Format.fprintf fmt "  [wrote BENCH_active.json]@.";
+  let path = "BENCH_active.json" in
+  Kit.write path
+    [ ("smoke", Json.Bool smoke);
+      ("reps", Json.Int reps);
+      ("cells", Json.List (List.map snd results));
+      ( "loop",
+        Json.Obj
+          ([ ("k", Json.Int loop_spec.Synthetic.k);
+             ("m", Json.Int loop_spec.Synthetic.m);
+             ("rounds", Json.Int loop_config.Loop.rounds) ]
+          @ List.map
+              (fun (n, h) ->
+                (Printf.sprintf "hash_%d" n, Json.String (Printf.sprintf "%Lx" h)))
+              hashes
+          @ [ ("domain_invariant", Json.Bool invariant) ]) ) ];
   if smoke then begin
-    let ic = open_in "BENCH_active.json" in
-    let body = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let has needle =
-      let nl = String.length needle and bl = String.length body in
-      let rec scan i =
-        if i + nl > bl then false
-        else if String.sub body i nl = needle then true
-        else scan (i + 1)
-      in
-      scan 0
-    in
-    let required =
-      [ "\"smoke\""; "\"cells\""; "\"k\""; "\"m\""; "\"a\""; "\"n_base\"";
-        "\"refit_s\""; "\"append_s\""; "\"speedup\"";
-        "\"incremental_faster\": true"; "\"parity_mu\""; "\"parity_nlml\"";
-        "\"parity_ok\": true"; "\"loop\""; "\"hash_1\""; "\"hash_2\"";
-        "\"hash_4\""; "\"domain_invariant\": true" ]
-    in
-    let missing = List.filter (fun key -> not (has key)) required in
-    if missing <> [] then begin
-      Format.fprintf fmt "  SMOKE FAIL: missing %s@."
-        (String.concat ", " missing);
-      exit 1
-    end;
+    Kit.check path
+      ~required:
+        [ "smoke"; "cells"; "k"; "m"; "a"; "n_base"; "refit_s"; "append_s";
+          "speedup"; "incremental_faster"; "parity_mu"; "parity_nlml";
+          "parity_ok"; "loop"; "hash_1"; "hash_2"; "hash_4";
+          "domain_invariant" ];
+    List.iter
+      (fun ((k, incremental_faster, parity_ok), _) ->
+        if not incremental_faster then
+          Kit.fail "k=%d incremental append not faster than refit" k;
+        if not parity_ok then Kit.fail "k=%d append parity above 1e-8" k)
+      results;
+    if not invariant then Kit.fail "loop hash differs across 1/2/4 domains";
     Format.fprintf fmt
       "  smoke OK: schema valid, incremental < refit, parity <= 1e-8, loop \
        domain-invariant@."
@@ -1983,7 +1648,7 @@ let () =
   if want "serve" then run_serve ~smoke;
   if want "serve_load" then run_serve_load ~smoke;
   if want "frontend" then run_frontend ~smoke;
-  if want "synth" then run_synth ~smoke;
+  if want "synth" then run_synth ~smoke ~quick;
   if want "active" then run_active ~smoke;
   Format.fprintf fmt "@.[bench complete in %.1f s wall clock]@."
     (Unix.gettimeofday () -. t0)

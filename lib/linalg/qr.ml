@@ -110,5 +110,3 @@ let solve_least_squares f (b : Vec.t) =
   x
 
 let lstsq a b = solve_least_squares (factorize a) b
-
-let residual_norm a x b = Vec.dist (Mat.mat_vec a x) b

@@ -25,6 +25,3 @@ val solve_least_squares : t -> Vec.t -> Vec.t
 
 val lstsq : Mat.t -> Vec.t -> Vec.t
 (** One-shot least-squares solve. *)
-
-val residual_norm : Mat.t -> Vec.t -> Vec.t -> float
-(** [residual_norm a x b] is [‖a x − b‖₂] — a convenience for tests. *)

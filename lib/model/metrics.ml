@@ -37,14 +37,6 @@ let r_squared ~predicted ~actual =
   done;
   if !ss_tot <= 0.0 then 0.0 else 1.0 -. (!ss_res /. !ss_tot)
 
-let max_abs_error ~predicted ~actual =
-  assert (Array.length predicted = Array.length actual);
-  let worst = ref 0.0 in
-  for i = 0 to Array.length actual - 1 do
-    worst := Float.max !worst (abs_float (predicted.(i) -. actual.(i)))
-  done;
-  !worst
-
 let support_precision_recall ~truth ~estimate =
   let tbl = Hashtbl.create (2 * Array.length truth) in
   Array.iter (fun j -> Hashtbl.replace tbl j ()) truth;

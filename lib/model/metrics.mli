@@ -21,8 +21,6 @@ val percent : float -> float
 val r_squared : predicted:Vec.t -> actual:Vec.t -> float
 (** Coefficient of determination. *)
 
-val max_abs_error : predicted:Vec.t -> actual:Vec.t -> float
-
 (** {1 Support recovery (synthetic ground truth)} *)
 
 val support_precision_recall :

@@ -86,8 +86,3 @@ let quantile p =
   let e = cdf x -. p in
   let u = e *. sqrt_2pi *. exp (0.5 *. x *. x) in
   x -. (u /. (1.0 +. (0.5 *. x *. u)))
-
-let quantile_mu_sigma ~mu ~sigma p = mu +. (sigma *. quantile p)
-
-let log_likelihood ~mu ~sigma xs =
-  Array.fold_left (fun acc x -> acc +. log_pdf ~mu ~sigma x) 0.0 xs

@@ -17,8 +17,3 @@ val quantile : float -> float
 (** Inverse standard normal CDF (Acklam's rational approximation with a
     Halley refinement step; |error| < 1e-5 over (0, 1)).
     Raises [Invalid_argument] outside (0, 1). *)
-
-val quantile_mu_sigma : mu:float -> sigma:float -> float -> float
-
-val log_likelihood : mu:float -> sigma:float -> float array -> float
-(** Sum of [log_pdf] over the sample. *)

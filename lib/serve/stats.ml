@@ -1,3 +1,5 @@
+module Json = Cbmf_robust.Json
+
 (* Log-spaced 1–2–5 bucket edges, 1 µs to 10 s, plus +inf overflow. *)
 let bucket_edges_us =
   [|
@@ -140,91 +142,69 @@ let phase_quantile t which q =
       in
       hist_quantile h q)
 
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%g" f
-
 let to_json ?(extra = []) t =
   locked t (fun () ->
-      let buf = Buffer.create 512 in
-      Buffer.add_string buf "{\"requests\":{";
       let ops =
-        Hashtbl.fold (fun op n acc -> (op, n) :: acc) t.ops []
+        Hashtbl.fold (fun op n acc -> (op, Json.Int n) :: acc) t.ops []
         |> List.sort (fun (a, _) (b, _) -> String.compare a b)
       in
-      List.iteri
-        (fun i (op, n) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf "%S:%d" op n))
-        ops;
-      Buffer.add_string buf "},";
-      Buffer.add_string buf (Printf.sprintf "\"errors\":%d," t.errors);
-      Buffer.add_string buf (Printf.sprintf "\"points\":%d," t.points);
-      Buffer.add_string buf (Printf.sprintf "\"max_batch\":%d," t.max_batch);
-      Buffer.add_string buf (Printf.sprintf "\"sheds\":%d," t.sheds);
-      Buffer.add_string buf
-        (Printf.sprintf "\"deadline_exceeded\":%d," t.deadlines);
-      Buffer.add_string buf (Printf.sprintf "\"queue_depth\":%d," t.queue_depth);
-      Buffer.add_string buf (Printf.sprintf "\"queue_peak\":%d," t.queue_peak);
-      let add_buckets h =
-        let first = ref true in
-        for i = 0 to n_buckets - 1 do
-          if h.counts.(i) > 0 then begin
-            if not !first then Buffer.add_char buf ',';
-            first := false;
-            let edge =
-              if Float.is_finite bucket_edges_us.(i) then
-                json_float bucket_edges_us.(i)
-              else "\"inf\""
-            in
-            Buffer.add_string buf (Printf.sprintf "[%s,%d]" edge h.counts.(i))
-          end
-        done
+      (* Only the non-empty buckets, as [edge, count] pairs. *)
+      let buckets h =
+        Json.List
+          (List.filter_map
+             (fun i ->
+               if h.counts.(i) = 0 then None
+               else
+                 Some
+                   (Json.List
+                      [ Json.Float bucket_edges_us.(i); Json.Int h.counts.(i) ]))
+             (List.init n_buckets Fun.id))
       in
-      let add_hist name h =
-        Buffer.add_string buf
-          (Printf.sprintf "%S:{\"count\":%d,\"p50\":%s,\"p99\":%s,\"buckets\":["
-             name h.n
-             (json_float (hist_quantile h 0.5))
-             (json_float (hist_quantile h 0.99)));
-        add_buckets h;
-        Buffer.add_string buf "]}"
+      let hist h =
+        Json.Obj
+          [ ("count", Json.Int h.n);
+            ("p50", Json.Float (hist_quantile h 0.5));
+            ("p99", Json.Float (hist_quantile h 0.99));
+            ("buckets", buckets h) ]
       in
-      add_hist "latency_us" t.latency;
-      (* Latency split: where a request's time went — admission queue,
-         batcher park, engine compute. *)
-      Buffer.add_string buf ",\"phases\":{";
-      add_hist "queue_wait_us" t.queue_wait;
-      Buffer.add_char buf ',';
-      add_hist "batch_wait_us" t.batch_wait;
-      Buffer.add_char buf ',';
-      add_hist "compute_us" t.compute;
-      Buffer.add_string buf "},";
-      (* Batch occupancy: points per merged engine call (bucket edges
-         are point counts here, not µs). *)
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\"batch_occupancy\":{\"flushes\":%d,\"coalesced_requests\":%d,\
-            \"max_points\":%d,\"p50_points\":%s,\"p99_points\":%s,\
-            \"buckets\":["
-           t.flushes t.coalesced t.max_occupancy
-           (json_float (hist_quantile t.occupancy 0.5))
-           (json_float (hist_quantile t.occupancy 0.99)));
-      add_buckets t.occupancy;
-      Buffer.add_string buf "]}";
-      List.iter
-        (fun (name, value) ->
-          Buffer.add_string buf (Printf.sprintf ",%S:%s" name value))
-        extra;
-      Buffer.add_char buf '}';
-      Buffer.contents buf)
+      Json.to_string
+        (Json.Obj
+           ([ ("requests", Json.Obj ops);
+              ("errors", Json.Int t.errors);
+              ("points", Json.Int t.points);
+              ("max_batch", Json.Int t.max_batch);
+              ("sheds", Json.Int t.sheds);
+              ("deadline_exceeded", Json.Int t.deadlines);
+              ("queue_depth", Json.Int t.queue_depth);
+              ("queue_peak", Json.Int t.queue_peak);
+              ("latency_us", hist t.latency);
+              (* Latency split: where a request's time went — admission
+                 queue, batcher park, engine compute. *)
+              ( "phases",
+                Json.Obj
+                  [ ("queue_wait_us", hist t.queue_wait);
+                    ("batch_wait_us", hist t.batch_wait);
+                    ("compute_us", hist t.compute) ] );
+              (* Batch occupancy: points per merged engine call (bucket
+                 edges are point counts here, not µs). *)
+              ( "batch_occupancy",
+                Json.Obj
+                  [ ("flushes", Json.Int t.flushes);
+                    ("coalesced_requests", Json.Int t.coalesced);
+                    ("max_points", Json.Int t.max_occupancy);
+                    ("p50_points", Json.Float (hist_quantile t.occupancy 0.5));
+                    ("p99_points", Json.Float (hist_quantile t.occupancy 0.99));
+                    ("buckets", buckets t.occupancy) ] ) ]
+           @ extra)))
 
 let registry_json (r : Registry.stats) =
-  Printf.sprintf
-    "{\"hits\":%d,\"misses\":%d,\"loads\":%d,\"evictions\":%d,\
-     \"reloads\":%d,\"generation\":%d,\
-     \"resident_bytes\":%d,\"resident_models\":%d,\"max_bytes\":%d}"
-    r.Registry.hits r.Registry.misses r.Registry.loads r.Registry.evictions
-    r.Registry.reloads r.Registry.generation
-    r.Registry.resident_bytes r.Registry.resident_models r.Registry.max_bytes
+  Json.Obj
+    [ ("hits", Json.Int r.Registry.hits);
+      ("misses", Json.Int r.Registry.misses);
+      ("loads", Json.Int r.Registry.loads);
+      ("evictions", Json.Int r.Registry.evictions);
+      ("reloads", Json.Int r.Registry.reloads);
+      ("generation", Json.Int r.Registry.generation);
+      ("resident_bytes", Json.Int r.Registry.resident_bytes);
+      ("resident_models", Json.Int r.Registry.resident_models);
+      ("max_bytes", Json.Int r.Registry.max_bytes) ]

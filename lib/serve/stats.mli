@@ -5,8 +5,8 @@
     upper edge of the bucket where the cumulative count crosses the
     quantile — coarse, allocation-free, and stable under concurrency.
 
-    {!to_json} renders everything as one JSON object (hand-rolled —
-    no JSON dependency) whose schema the serve smoke test validates. *)
+    {!to_json} renders everything as one JSON object through
+    {!Cbmf_robust.Json}; the serve smoke test validates its schema. *)
 
 type t
 
@@ -51,13 +51,13 @@ val phase_quantile :
     phase histograms ([`Occupancy] is in points); 0 when nothing was
     recorded. *)
 
-val to_json : ?extra:(string * string) list -> t -> string
+val to_json : ?extra:(string * Cbmf_robust.Json.t) list -> t -> string
 (** One JSON object: per-op request counts, error count, total points,
     max batch size, p50/p99 and the non-empty histogram buckets, the
     per-phase latency split ("phases": queue-wait / batch-wait /
     compute) and the batch-occupancy histogram ("batch_occupancy").
-    [extra] appends pre-rendered members (e.g.
-    [("registry", registry_json)]). *)
+    A quantile in the overflow bucket renders as ["inf"].  [extra]
+    appends members (e.g. [("registry", registry_json stats)]). *)
 
-val registry_json : Registry.stats -> string
+val registry_json : Registry.stats -> Cbmf_robust.Json.t
 (** The registry counters as a JSON object, for {!to_json}'s [extra]. *)

@@ -4,7 +4,8 @@
    and early-stop identically), the split-stamp [Mna.ac_sweep] must be
    bit-identical to a per-frequency [Mna.ac] loop (directly and
    through the LNA/mixer curve testbenches), and the shared-grid
-   [Init.run] must be bit-identical at any domain count. *)
+   [Init.run] must be bit-identical at any domain count and to the
+   sequential r0 × σ0 × fold loop. *)
 
 open Cbmf_linalg
 open Cbmf_model
@@ -306,6 +307,98 @@ let test_init_domain_invariant () =
         rest
   | [] -> assert false
 
+(* --- Init: the shared-grid run = the sequential triple loop --------- *)
+
+(* The r0 × σ0 × fold loop [Init.run] must match, written sequentially
+   on the public [Init.greedy_pass] and [Dataset.split_fold]: per cell
+   the fold errors are summed over the common prefix and averaged, the
+   first strictly smaller mean wins (r0 outer, σ0 inner, θ ascending),
+   and the winner is refit on all samples. *)
+let init_run_reference ~(config : Cbmf_core.Init.config) (d : Dataset.t) =
+  let open Cbmf_core in
+  let best = ref None in
+  Array.iter
+    (fun r0 ->
+      Array.iter
+        (fun sigma0 ->
+          let errs =
+            Array.init config.Init.n_folds (fun fold ->
+                let train, test =
+                  Dataset.split_fold d ~n_folds:config.Init.n_folds ~fold
+                in
+                snd
+                  (Init.greedy_pass ~train ~test:(Some test) ~r0 ~sigma0
+                     ~theta_max:config.Init.theta_max))
+          in
+          let n_err =
+            Array.fold_left (fun n e -> Stdlib.min n (Array.length e)) max_int errs
+          in
+          for theta_i = 0 to n_err - 1 do
+            let sum = ref errs.(0).(theta_i) in
+            for fold = 1 to config.Init.n_folds - 1 do
+              sum := !sum +. errs.(fold).(theta_i)
+            done;
+            let e = !sum /. float_of_int config.Init.n_folds in
+            match !best with
+            | Some (_, _, _, e_best) when e >= e_best -> ()
+            | _ -> best := Some (r0, sigma0, theta_i + 1, e)
+          done)
+        config.Init.sigma0_grid)
+    config.Init.r0_grid;
+  let r0, sigma0, theta, cv_error = Option.get !best in
+  let support, _ = Init.greedy_pass ~train:d ~test:None ~r0 ~sigma0 ~theta_max:theta in
+  let lambda = Array.make d.Dataset.n_basis config.Init.lambda_off in
+  Array.iter (fun s -> lambda.(s) <- 1.0) support;
+  let prior =
+    Prior.create ~lambda ~r:(Prior.r_of_r0 ~n_states:d.Dataset.n_states ~r0) ~sigma0
+  in
+  { Init.support; r0; sigma0; theta; cv_error; prior }
+
+(* The bench's front-end smoke instance: K = 4, N = 12, M = 60. *)
+let frontend_smoke_dataset () =
+  let rng = Cbmf_prob.Rng.create 7 in
+  let k = 4 and n = 12 and m = 60 in
+  let support = [| 2; 17; 41 |] in
+  let design =
+    Array.init k (fun _ ->
+        Mat.init n m (fun _ j ->
+            if j = 0 then 1.0 else Cbmf_prob.Rng.gaussian rng))
+  in
+  let response =
+    Array.init k (fun s ->
+        Array.init n (fun i ->
+            let acc = ref (0.05 *. Cbmf_prob.Rng.gaussian rng) in
+            Array.iteri
+              (fun si col ->
+                let c = 1.0 /. float_of_int (si + 1) in
+                let c = c *. (1.0 +. (0.3 *. sin (0.4 *. float_of_int s))) in
+                acc := !acc +. (c *. Mat.get design.(s) i col))
+              support;
+            !acc))
+  in
+  Dataset.create ~design ~response
+
+let test_init_matches_reference () =
+  let bits_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  List.iter
+    (fun (tag, d) ->
+      let r = Cbmf_core.Init.run ~config:init_config d in
+      let e = init_run_reference ~config:init_config d in
+      let open Cbmf_core in
+      check_true (tag ^ ": support") (r.Init.support = e.Init.support);
+      check_true (tag ^ ": theta") (r.Init.theta = e.Init.theta);
+      check_true (tag ^ ": r0 bits") (bits_eq r.Init.r0 e.Init.r0);
+      check_true (tag ^ ": sigma0 bits") (bits_eq r.Init.sigma0 e.Init.sigma0);
+      check_true (tag ^ ": cv_error bits") (bits_eq r.Init.cv_error e.Init.cv_error);
+      check_true (tag ^ ": prior lambda bits")
+        (Int64.equal (hash_floats r.Init.prior.Prior.lambda)
+           (hash_floats e.Init.prior.Prior.lambda));
+      check_true (tag ^ ": prior R bits")
+        (Int64.equal (hash_floats r.Init.prior.Prior.r.Mat.data)
+           (hash_floats e.Init.prior.Prior.r.Mat.data)))
+    [ ("bench smoke instance", frontend_smoke_dataset ());
+      ("planted", planted_dataset ()) ]
+
 let suite =
   [ ( "frontend-oracle",
       [ qcase ~count:40 "Somp.fit = fit_naive (support, coeffs @1e-10)"
@@ -324,4 +417,6 @@ let suite =
         slow_case "Montecarlo.curves: domain-invariant, validated"
           test_montecarlo_curves;
         case "Init.run bit-identical at 1/2/4 domains"
-          test_init_domain_invariant ] ) ]
+          test_init_domain_invariant;
+        case "Init.run = sequential r0 x sigma0 x fold loop (bits)"
+          test_init_matches_reference ] ) ]

@@ -218,11 +218,6 @@ let test_dataset_validate () =
       | () -> Alcotest.fail "expected a typed fault"
       | exception Cbmf_robust.Fault.Error _ -> ())
 
-let test_metrics_max_abs () =
-  check_float "max_abs_error" 2.5
-    (Metrics.max_abs_error ~predicted:(Vec.of_list [ 1.0; 0.0; 3.0 ])
-       ~actual:(Vec.of_list [ 1.5; 2.5; 3.0 ]))
-
 let test_metrics_support () =
   let p, r = Metrics.support_precision_recall ~truth:[| 0; 7; 19 |] ~estimate:[| 7; 19; 3; 5 |] in
   check_float ~tol:1e-12 "precision" 0.5 p;
@@ -302,7 +297,6 @@ let suite =
         case "relative" test_metrics_relative;
         case "pooled" test_metrics_pooled;
         case "r-squared" test_metrics_r2;
-        case "max_abs_error" test_metrics_max_abs;
         case "support precision/recall/F1" test_metrics_support;
         case "coeffs_rmse" test_metrics_coeffs_rmse;
         case "predict_state" test_metrics_predict_state ] );

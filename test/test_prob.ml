@@ -92,7 +92,10 @@ let test_quantile_known () =
 let test_pdf () =
   check_float ~tol:1e-10 "pdf peak" (1.0 /. sqrt (2.0 *. Float.pi)) (Gaussian.pdf 0.0);
   check_float ~tol:1e-10 "log_pdf consistent" (log (Gaussian.pdf 1.3))
-    (Gaussian.log_pdf 1.3)
+    (Gaussian.log_pdf 1.3);
+  check_float ~tol:1e-12 "pdf scales with sigma"
+    (Gaussian.pdf 0.5 /. 2.0)
+    (Gaussian.pdf ~mu:1.0 ~sigma:2.0 2.0)
 
 (* --- Lhs --- *)
 
@@ -200,23 +203,6 @@ let test_cdf_symmetry () =
         (Gaussian.cdf (-.x)))
     [ 0.1; 0.7; 1.5; 2.8 ]
 
-let test_quantile_mu_sigma () =
-  check_float ~tol:1e-9 "affine in mu, sigma"
-    (2.0 +. (3.0 *. Gaussian.quantile 0.9))
-    (Gaussian.quantile_mu_sigma ~mu:2.0 ~sigma:3.0 0.9);
-  (* quantile's documented accuracy is 1e-5; q(0.5) lands within 1e-6 of 0. *)
-  check_float ~tol:1e-6 "median = mu" (-1.5)
-    (Gaussian.quantile_mu_sigma ~mu:(-1.5) ~sigma:0.2 0.5)
-
-let test_log_likelihood () =
-  let xs = [| 0.3; -1.2; 2.0 |] in
-  check_float ~tol:1e-12 "sum of log_pdf"
-    (Array.fold_left (fun acc x -> acc +. Gaussian.log_pdf ~mu:0.5 ~sigma:1.5 x) 0.0 xs)
-    (Gaussian.log_likelihood ~mu:0.5 ~sigma:1.5 xs);
-  check_float ~tol:1e-12 "pdf scales with sigma"
-    (Gaussian.pdf 0.5 /. 2.0)
-    (Gaussian.pdf ~mu:1.0 ~sigma:2.0 2.0)
-
 let test_lhs_uniform_range () =
   let m = Lhs.uniform (Rng.create 47) ~n:10 ~dim:4 in
   check_int "rows" 10 (fst (Cbmf_linalg.Mat.dim m));
@@ -271,9 +257,7 @@ let suite =
         case "quantile known values" test_quantile_known;
         case "pdf" test_pdf;
         case "erfc" test_erfc;
-        case "cdf symmetry" test_cdf_symmetry;
-        case "quantile_mu_sigma" test_quantile_mu_sigma;
-        case "log_likelihood" test_log_likelihood ] );
+        case "cdf symmetry" test_cdf_symmetry ] );
     ( "prob.lhs",
       [ case "stratification" test_lhs_stratified;
         case "gaussian moments" test_lhs_gaussian_moments;

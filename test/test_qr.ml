@@ -62,17 +62,6 @@ let test_qr_solve_reuse () =
       (Qr.solve_least_squares f b = Qr.lstsq a b)
   done
 
-let test_qr_residual_norm () =
-  let a = local_mat 9 3 in
-  let b = local_vec 9 in
-  let x = Qr.lstsq a b in
-  check_float ~tol:1e-12 "residual_norm = ‖a·x − b‖"
-    (Vec.norm2 (Vec.sub (Mat.mat_vec a x) b))
-    (Qr.residual_norm a x b);
-  (* Least squares beats any perturbed coefficient vector. *)
-  let x' = Vec.add x (Vec.make 3 1e-3) in
-  check_true "minimal residual" (Qr.residual_norm a x b < Qr.residual_norm a x' b)
-
 let test_qr_consistent_tall () =
   let a = local_mat 15 4 in
   let x = Vec.of_list [ 1.0; -2.0; 0.5; 3.0 ] in
@@ -104,7 +93,6 @@ let suite =
         case "rank deficiency" test_qr_rank_deficient;
         case "r upper triangular" test_qr_r_upper;
         case "factorization reuse" test_qr_solve_reuse;
-        case "residual_norm" test_qr_residual_norm;
         case "consistent tall system" test_qr_consistent_tall;
         case "zero column" test_qr_zero_column;
         prop_qr_normal_equations ] ) ]

@@ -398,11 +398,56 @@ let test_mc_drop_accounting () =
   | exception Fault.Error (Fault.Sim_failure _) -> ());
   check_true "every drop recorded" (Diag.count_class d Fault.C_sim_failure > 0)
 
+(* --- Json ------------------------------------------------------------ *)
+
+let test_json_non_finite () =
+  let r f = Json.to_string (Json.Float f) in
+  check_true "inf" (String.equal {|"inf"|} (r Float.infinity));
+  check_true "-inf" (String.equal {|"-inf"|} (r Float.neg_infinity));
+  check_true "nan" (String.equal {|"nan"|} (r Float.nan));
+  check_true "integral below 1e15" (String.equal "2000" (r 2000.0));
+  check_true "negative integral" (String.equal "-7" (r (-7.0)))
+
+let test_json_escaping () =
+  check_true "quote, backslash, controls"
+    (String.equal {|"a\"b\\c\n\t\u0001"|}
+       (Json.to_string (Json.String "a\"b\\c\n\t\001")));
+  check_true "plain ASCII as %S"
+    (String.equal (Printf.sprintf "%S" "p99_us") (Json.to_string (Json.String "p99_us")))
+
+(* Every finite float reads back to the same bits. *)
+let prop_json_float_roundtrip bits =
+  let f = Int64.float_of_bits bits in
+  (not (Float.is_finite f))
+  || Int64.equal (Int64.bits_of_float (float_of_string (Json.to_string (Json.Float f))))
+       (Int64.bits_of_float f)
+
+let test_json_float_edges () =
+  List.iter
+    (fun f ->
+      check_true (Printf.sprintf "%h reads back" f) (prop_json_float_roundtrip (Int64.bits_of_float f)))
+    [ 0.1; 1.0 /. 3.0; 1e15; 1e15 +. 1.0; 5e-324; Float.max_float; -2.5e-8; 0.0; -0.0 ]
+
+let test_json_nested () =
+  check_true "nested lists/objects, member order kept"
+    (String.equal {|{"b":[1,[true,"x"],{}],"a":{"c":0.5,"d":[]}}|}
+       (Json.to_string
+          (Json.Obj
+             [ ("b", Json.List [ Json.Int 1; Json.List [ Json.Bool true; Json.String "x" ]; Json.Obj [] ]);
+               ("a", Json.Obj [ ("c", Json.Float 0.5); ("d", Json.List []) ]) ])))
+
 let suite =
   [ ( "robust.taxonomy",
       [ case "fault rendering and order" test_fault_strings;
         case "diag recorder" test_diag_basic;
         case "ambient recorder" test_diag_ambient ] );
+    ( "robust.json",
+      [ case "non-finite and integral floats" test_json_non_finite;
+        case "string escaping" test_json_escaping;
+        qcase ~count:2000 "finite floats read back bit-exact"
+          QCheck2.Gen.int64 prop_json_float_roundtrip;
+        case "float read-back edge cases" test_json_float_edges;
+        case "nested lists and objects" test_json_nested ] );
     ( "robust.inject",
       [ case "seeded determinism" test_inject_deterministic;
         case "scope save/restore" test_inject_scope_restores ] );

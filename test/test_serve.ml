@@ -1122,7 +1122,7 @@ let test_stats_json_golden () =
       [ {|{"requests":{"load":1,"ping":1,"predict":3,"stats":1},|};
         {|"errors":1,"points":144,"max_batch":72,"sheds":1,|};
         {|"deadline_exceeded":1,"queue_depth":1,"queue_peak":3,|};
-        {|"latency_us":{"count":6,"p50":2000,"p99":inf,"buckets":|};
+        {|"latency_us":{"count":6,"p50":2000,"p99":"inf","buckets":|};
         {|[[1,1],[50,1],[2000,2],[500000,1],["inf",1]]},|};
         {|"phases":{|};
         {|"queue_wait_us":{"count":2,"p50":5,"p99":200,|};
@@ -1137,7 +1137,7 @@ let test_stats_json_golden () =
   in
   Alcotest.(check string)
     "to_json bytes" golden
-    (Stats.to_json ~extra:[ ("x", "1") ] s)
+    (Stats.to_json ~extra:[ ("x", Cbmf_robust.Json.Int 1) ] s)
 
 (* --- Fault taxonomy integration -------------------------------------- *)
 
